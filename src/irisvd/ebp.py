@@ -10,6 +10,13 @@ the rate grows.
 
 Every epoch's rate, error, and accept/improve outcome is recorded so the
 rate schedule can be audited exactly after the fact.
+
+Training holds w1, b1, w2, b2 as reshaped views into one flat float64
+vector, with the gradient in a second vector of the same layout, so a
+candidate step is one vector update.  Each epoch runs one forward pass, on
+the candidate; when the candidate is accepted its activations and error
+are kept and the next gradient is taken from them.  The arithmetic is the
+same as a step-by-step replay through backprop_gradient, bit for bit.
 """
 
 from __future__ import annotations
@@ -152,12 +159,10 @@ class Gradient:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only ever sees -|z| <= 0, so it cannot overflow; z >= 0 gives
+    # 1/(1+exp(-z)) and z < 0 gives exp(z)/(1+exp(z)).
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def init(shape: MlpShape, seed: int) -> Mlp:
@@ -246,30 +251,34 @@ def _as_batch(net: Mlp, batch) -> tuple[np.ndarray, np.ndarray]:
     return xs, ts
 
 
-def _forward_batch(w1, b1, w2, b2, xs):
+def _evaluate(w1, b1, w2, b2, xs, ts):
+    """Forward pass over the batch: hidden, output, error and MSE."""
     h = _sigmoid(xs @ w1.T + b1)
     y = _sigmoid(h @ w2.T + b2)
-    return h, y
-
-
-def _batch_mse(w1, b1, w2, b2, xs, ts) -> float:
-    _, y = _forward_batch(w1, b1, w2, b2, xs)
     err = y - ts
-    return float(np.mean(err * err))
+    return h, y, err, float(np.mean(err * err))
 
 
-def _gradient_arrays(w1, b1, w2, b2, xs, ts):
-    h, y = _forward_batch(w1, b1, w2, b2, xs)
-    err = y - ts
-    mse = float(np.mean(err * err))
-    scale = 2.0 / err.size
-    delta2 = scale * err * y * (1.0 - y)
-    gw2 = delta2.T @ h
-    gb2 = delta2.sum(axis=0)
+def _backward(w2, xs, h, y, err, grad) -> None:
+    """Write the MSE gradient of one forward pass into grad's four views."""
+    gw1, gb1, gw2, gb2 = grad
+    delta2 = (2.0 / err.size) * err * y * (1.0 - y)
+    np.matmul(delta2.T, h, out=gw2)
+    np.sum(delta2, axis=0, out=gb2)
     delta1 = (delta2 @ w2) * h * (1.0 - h)
-    gw1 = delta1.T @ xs
-    gb1 = delta1.sum(axis=0)
-    return Gradient(w1=gw1, b1=gb1, w2=gw2, b2=gb2), mse
+    np.matmul(delta1.T, xs, out=gw1)
+    np.sum(delta1, axis=0, out=gb1)
+
+
+def _param_views(flat: np.ndarray, shape: MlpShape):
+    """(w1, b1, w2, b2) as reshaped views into one flat parameter vector."""
+    i, h, o = shape.n_in, shape.n_hidden, shape.n_out
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([h * i, h, o * h]))
+    return w1.reshape(h, i), b1, w2.reshape(o, h), b2
+
+
+def _flat_params(net: Mlp) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in (net.w1, net.b1, net.w2, net.b2)])
 
 
 def backprop_gradient(net: Mlp, batch) -> tuple[Gradient, float]:
@@ -279,7 +288,10 @@ def backprop_gradient(net: Mlp, batch) -> tuple[Gradient, float]:
     duplicating every pair leaves both the error and the gradient unchanged.
     """
     xs, ts = _as_batch(net, batch)
-    return _gradient_arrays(net.w1, net.b1, net.w2, net.b2, xs, ts)
+    h, y, err, mse = _evaluate(net.w1, net.b1, net.w2, net.b2, xs, ts)
+    grad = _param_views(np.empty_like(_flat_params(net)), net.shape)
+    _backward(net.w2, xs, h, y, err, grad)
+    return Gradient(*grad), mse
 
 
 def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, TrainReport]:
@@ -290,9 +302,22 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
     kept, lr shrunk by lr_dec); otherwise it is accepted, and lr grows by
     lr_inc when the error strictly improved.  Stops on the error goal, the
     epoch cap, or a vanishing gradient, whichever comes first.
+
+    The weights and the candidate live in two flat vectors of the same
+    layout; an accepted candidate swaps places with the weights.  Each epoch runs one
+    forward pass, on the candidate.  An accepted candidate's activations
+    give the next gradient; after a rejection the weights, and so the
+    gradient, are unchanged.
     """
     xs, ts = _as_batch(net, train_set)
-    w1, b1, w2, b2 = net.w1, net.b1, net.w2, net.b2
+    theta = _flat_params(net)
+    cand = np.empty_like(theta)
+    grad = np.empty_like(theta)
+    params = _param_views(theta, net.shape)
+    cand_params = _param_views(cand, net.shape)
+    grad_views = _param_views(grad, net.shape)
+    h, y, err, cur = _evaluate(*params, xs, ts)
+    _backward(params[2], xs, h, y, err, grad_views)
     lr = cfg.lr0
 
     mse_trace: list[float] = []
@@ -301,24 +326,18 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
     improved: list[bool] = []
 
     while True:
-        grad, cur = _gradient_arrays(w1, b1, w2, b2, xs, ts)
         if cur <= cfg.mse_goal:
             reason = "goal_met"
             break
         if len(mse_trace) >= cfg.max_epochs:
             reason = "max_epochs"
             break
-        if grad.inf_norm() < cfg.min_grad:
+        if np.max(np.abs(grad)) < cfg.min_grad:
             reason = "gradient_floor"
             break
 
-        cand = (
-            w1 - lr * grad.w1,
-            b1 - lr * grad.b1,
-            w2 - lr * grad.w2,
-            b2 - lr * grad.b2,
-        )
-        cand_mse = _batch_mse(*cand, xs, ts)
+        np.subtract(theta, lr * grad, out=cand)
+        h, y, err, cand_mse = _evaluate(*cand_params, xs, ts)
         lr_trace.append(lr)
         if cand_mse > cur * cfg.max_perf_inc:
             accepted.append(False)
@@ -326,24 +345,27 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
             mse_trace.append(cur)
             lr = lr * cfg.lr_dec
         else:
-            w1, b1, w2, b2 = cand
+            theta, cand = cand, theta
+            params, cand_params = cand_params, params
+            _backward(params[2], xs, h, y, err, grad_views)
             accepted.append(True)
             better = cand_mse < cur
             improved.append(better)
             mse_trace.append(cand_mse)
+            cur = cand_mse
             if better:
                 lr = lr * cfg.lr_inc
 
-    final = cur
     report = TrainReport(
         epochs_run=len(mse_trace),
-        final_mse=final,
+        final_mse=cur,
         stop_reason=reason,
         mse_trace=tuple(mse_trace),
         lr_trace=tuple(lr_trace),
         accepted=tuple(accepted),
         improved=tuple(improved),
     )
+    w1, b1, w2, b2 = params
     out = Mlp(
         shape=net.shape,
         w1=w1,
@@ -418,9 +440,9 @@ def load_model(path) -> Mlp:
         raise ModelFormatError("line 2: expected shape line")
     try:
         n_in, n_hidden, n_out = (int(p) for p in lines[1].split()[1:])
+        shape = MlpShape(n_in=n_in, n_hidden=n_hidden, n_out=n_out)
     except ValueError:
         raise ModelFormatError(f"line 2: bad shape line {lines[1]!r}") from None
-    shape = MlpShape(n_in=n_in, n_hidden=n_hidden, n_out=n_out)
 
     scaling = []
     idx = 2
@@ -428,7 +450,10 @@ def load_model(path) -> Mlp:
         parts = lines[idx].split() if idx < len(lines) else []
         if len(parts) != 4 or parts[0] != "scale" or parts[1] != str(i):
             raise ModelFormatError(f"line {idx + 1}: expected scale line {i}")
-        scaling.append((float(parts[2]), float(parts[3])))
+        try:
+            scaling.append((float(parts[2]), float(parts[3])))
+        except ValueError as exc:
+            raise ModelFormatError(f"line {idx + 1}: {exc}") from None
         idx += 1
 
     w1, idx = _parse_matrix(lines, idx, "w1", (n_hidden, n_in))

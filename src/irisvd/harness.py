@@ -311,6 +311,9 @@ def run_experiment(
                     for p in ds.samples[cls]:
                         if p not in spectra:
                             spectra[p] = _template_spectrum(p, pipeline)
+                # Spectra are shared with later cells, so a cell's seconds
+                # cover its training and evaluation only.
+                started = time.perf_counter()
                 cfg = replace(base_cfg, seed=cell_seed(grid.base_seed, c, k))
                 cell = _train_cell(spectra, classes, train_set, test_set, k, cfg)
                 cell = replace(cell, seconds=time.perf_counter() - started)

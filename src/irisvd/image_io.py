@@ -204,6 +204,15 @@ def read_pgm(data: bytes) -> GrayImage:
             )
         arr = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
     else:
+        # Each pixel needs a digit and a separator, so the bytes left bound
+        # the count before anything is allocated from the header's numbers.
+        room = (len(data) - tok.pos + 1) // 2
+        if count > room:
+            raise PgmParseError(
+                f"truncated pixel data: header asks for {count} pixels, the "
+                f"{len(data) - tok.pos} bytes after byte offset {tok.pos} "
+                f"hold at most {room}"
+            )
         values = np.empty(count, dtype=np.int64)
         for i in range(count):
             values[i] = tok.next_int(f"pixel {i}")

@@ -137,6 +137,36 @@ class TestOracleOnHandCases:
         assert abs(numeric["w2"][0, 0] - want_w2) < 1e-9
 
 
+def masked_sigmoid(z):
+    """The boolean-mask sigmoid the branch-free form must reproduce."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_form_bit_for_bit(self):
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0, np.nan]
+        )
+        rng = np.random.default_rng(17)
+        for z in (special, rng.normal(0.0, 20.0, (45, 80))):
+            got, want = ebp._sigmoid(z), masked_sigmoid(z)
+            assert np.array_equal(got, want, equal_nan=True)
+            # Equal values may still differ in the sign of a zero.
+            num = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+    def test_saturates_without_warnings(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = ebp._sigmoid(np.array([-1e308, -20.0, 20.0, 1e308]))
+        assert y[0] == 0.0 and y[-1] == 1.0
+        assert 0.0 < y[1] < y[2] < 1.0
+
+
 class TestForward:
     def test_hand_example(self):
         # All-ones weights, zero biases, x = 0: hidden 0.5, output
@@ -281,6 +311,57 @@ def toy_problem(seed=0):
     return batch, labels
 
 
+def replay(start, batch, cfg):
+    """Reference training loop: two backprop_gradient calls per epoch and
+    the published accept/reject rule, with the same stopping tests."""
+    net = start
+    lr = cfg.lr0
+    mse_trace, lr_trace, accepted, improved = [], [], [], []
+    while True:
+        grad, cur = ebp.backprop_gradient(net, batch)
+        if cur <= cfg.mse_goal:
+            reason = "goal_met"
+            break
+        if len(mse_trace) >= cfg.max_epochs:
+            reason = "max_epochs"
+            break
+        if grad.inf_norm() < cfg.min_grad:
+            reason = "gradient_floor"
+            break
+        cand = ebp.Mlp(
+            shape=net.shape,
+            w1=net.w1 - lr * grad.w1,
+            b1=net.b1 - lr * grad.b1,
+            w2=net.w2 - lr * grad.w2,
+            b2=net.b2 - lr * grad.b2,
+            feature_scaling=net.feature_scaling,
+        )
+        _, cand_mse = ebp.backprop_gradient(cand, batch)
+        lr_trace.append(lr)
+        if cand_mse > cur * cfg.max_perf_inc:
+            accepted.append(False)
+            improved.append(False)
+            mse_trace.append(cur)
+            lr = lr * cfg.lr_dec
+        else:
+            net = cand
+            accepted.append(True)
+            improved.append(cand_mse < cur)
+            mse_trace.append(cand_mse)
+            if cand_mse < cur:
+                lr = lr * cfg.lr_inc
+    report = ebp.TrainReport(
+        epochs_run=len(mse_trace),
+        final_mse=cur,
+        stop_reason=reason,
+        mse_trace=tuple(mse_trace),
+        lr_trace=tuple(lr_trace),
+        accepted=tuple(accepted),
+        improved=tuple(improved),
+    )
+    return net, report
+
+
 class TestTraining:
     def test_traces_line_up(self):
         shape = ebp.MlpShape(3, 6, 3)
@@ -356,34 +437,37 @@ class TestTraining:
             if report.improved[t]:
                 assert report.mse_trace[t] < prev
 
-    def test_replay_reproduces_weights(self):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # (shape, data, config overrides, stop reason, steps rejected)
+            ((3, 6, 3), "toy", {"max_epochs": 120}, "max_epochs", False),
+            ((10, 20, 5), "random", {"max_epochs": 150}, "max_epochs", True),
+            ((40, 80, 9), "random", {"max_epochs": 150}, "max_epochs", True),
+            ((3, 6, 3), "toy", {"lr0": 500.0, "max_epochs": 60}, "max_epochs", True),
+            ((10, 20, 5), "random", {"min_grad": 2e-3}, "gradient_floor", False),
+        ],
+        ids=["toy-3x6x3", "random-10x20x5", "random-40x80x9",
+             "rejected-steps-to-cap", "gradient-floor"],
+    )
+    def test_replay_reproduces_weights(self, case):
         # Re-run the published update rule step by step using only the
-        # public gradient op; the final weights must match bit for bit.
-        shape = ebp.MlpShape(3, 6, 3)
+        # public gradient op; the final weights and every trace must match
+        # bit for bit.
+        dims, data, overrides, reason, rejects = case
+        shape = ebp.MlpShape(*dims)
         start = random_net(shape, seed=2)
-        batch, _ = toy_problem()
-        cfg = ebp.TrainConfig(max_epochs=120, mse_goal=1e-12)
+        if data == "toy":
+            batch, _ = toy_problem()
+        else:
+            batch = random_batch(shape, n_samples=5 * shape.n_out, seed=4)
+        cfg = ebp.TrainConfig(mse_goal=1e-12, **overrides)
         trained, report = ebp.train(start, batch, cfg)
 
-        net = start
-        lr = cfg.lr0
-        for _ in range(report.epochs_run):
-            grad, cur = ebp.backprop_gradient(net, batch)
-            cand = ebp.Mlp(
-                shape=shape,
-                w1=net.w1 - lr * grad.w1,
-                b1=net.b1 - lr * grad.b1,
-                w2=net.w2 - lr * grad.w2,
-                b2=net.b2 - lr * grad.b2,
-                feature_scaling=net.feature_scaling,
-            )
-            _, cand_mse = ebp.backprop_gradient(cand, batch)
-            if cand_mse > cur * cfg.max_perf_inc:
-                lr = lr * cfg.lr_dec
-            else:
-                net = cand
-                if cand_mse < cur:
-                    lr = lr * cfg.lr_inc
+        net, want = replay(start, batch, cfg)
+        assert report.stop_reason == reason
+        assert (not all(report.accepted)) == rejects
+        assert report == want
         assert np.array_equal(net.w1, trained.w1)
         assert np.array_equal(net.b1, trained.b1)
         assert np.array_equal(net.w2, trained.w2)
@@ -551,19 +635,28 @@ class TestModelFile:
         with pytest.raises(ebp.ModelFormatError):
             ebp.load_model(path)
 
-    def test_bad_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, replacement",
+        [
+            ("w1", "bogus"),
+            ("scale 0", "scale 0 abc 1"),
+            ("shape", "shape 0 1 1"),
+        ],
+        ids=["weight", "scale", "shape"],
+    )
+    def test_bad_value_rejected(self, tmp_path, section, replacement):
         net = ebp.init(ebp.MlpShape(2, 4, 2), seed=1)
         path = tmp_path / "model.txt"
         ebp.save_model(path, net)
         text = path.read_text().splitlines()
-        for i, line in enumerate(text):
-            if line == "w1":
-                parts = text[i + 1].split()
-                parts[0] = "bogus"
-                text[i + 1] = " ".join(parts)
-                break
+        if section == "w1":
+            i = text.index("w1") + 1
+            text[i] = " ".join([replacement] + text[i].split()[1:])
+        else:
+            i = next(n for n, line in enumerate(text) if line.startswith(section + " "))
+            text[i] = replacement
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ebp.ModelFormatError):
+        with pytest.raises(ebp.ModelFormatError, match=f"line {i + 1}"):
             ebp.load_model(path)
 
 

@@ -2,6 +2,7 @@
 experiment grid."""
 
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ class TestRunExperiment:
 
     def test_runtime_recorded(self, small_grid):
         assert all(cell.seconds > 0.0 for cell in small_grid.cells)
+
+    def test_seconds_exclude_feature_extraction(self, dataset, monkeypatch):
+        # The first cell computes every spectrum it needs; that time must
+        # not be charged to the cell.
+        delay = 0.05
+        calls = []
+
+        def slow_spectrum(path, cfg):
+            calls.append(path)
+            time.sleep(delay)
+            rng = np.random.default_rng(len(calls))
+            return np.sort(rng.uniform(1.0, 10.0, 40))[::-1]
+
+        monkeypatch.setattr(harness, "_template_spectrum", slow_spectrum)
+        grid = harness.GridConfig(class_counts=(2,), dims=(3,), epoch_cap=20)
+        (cell,) = harness.run_experiment(dataset, grid).cells
+        assert cell.error is None
+        assert len(calls) == 14
+        assert 0.0 < cell.seconds < len(calls) * delay / 2
 
     def test_deterministic_report(self, dataset):
         grid = harness.GridConfig(class_counts=(3,), dims=(3, 10), epoch_cap=200)

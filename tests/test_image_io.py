@@ -1,5 +1,7 @@
 """PGM round-trips, contrast stretch, and block downsampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,25 @@ class TestReadPgm:
     def test_truncated_payload(self):
         with pytest.raises(PgmParseError, match="truncated pixel data"):
             read_pgm(b"P5\n4 4\n255\n" + bytes(10))
+
+    def test_ascii_count_bounded_by_data(self):
+        # The header asks for 16M pixels; the check must come before any
+        # allocation sized by those header numbers.
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmParseError, match="truncated pixel data"):
+                read_pgm(b"P2\n4000 4000\n255\n7\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_ascii_count_bound_is_tight(self):
+        # Single-byte pixels and separators: the shortest legal payload
+        # parses, and one pixel fewer fails the bound.
+        assert read_pgm(b"P2 3 1 9 1 2 3") == GrayImage.from_flat(3, 1, [1, 2, 3])
+        with pytest.raises(PgmParseError, match="truncated pixel data"):
+            read_pgm(b"P2 3 1 9 1 2")
 
     def test_bad_magic(self):
         with pytest.raises(PgmParseError, match="byte offset 0"):
