@@ -12,49 +12,33 @@ Exit codes: 0 full success, 1 runtime failures, 2 usage or format errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .ebp import (
-    MlpShape,
-    TrainConfig,
-    apply_scaling,
-    attach_scaling,
-    decode,
-    default_hidden,
-    encode_target,
-    fit_scaling,
-    forward,
-    init,
-    load_model,
-    save_model,
-    train,
-)
+from .ebp import TrainConfig, apply_scaling, decode, forward, load_model, save_model
 from .harness import (
-    DEFAULT_CLASS_COUNTS,
-    DEFAULT_DIMS,
+    DEFAULT_N_TRAIN,
     DatasetError,
     GridConfig,
     PipelineConfig,
     PipelineStageError,
     emit_report,
+    fit_classifier,
     load_dataset,
     pipeline_features,
     run_experiment,
+    segment_eye,
     split,
 )
 from .image_io import GrayImage, read_pgm_file, write_pgm_file
-from .iris_boundary import EdgeConfig, bounds_csv_line, iris_bounds, mark_bounds
-from .segmentation import (
-    filter_small_regions,
-    geometry_csv_line,
-    label_components_8,
-    pupil_geometry,
-    threshold_dark,
-)
+from .iris_boundary import EdgeConfig, bounds_csv_line, mark_bounds
+from .segmentation import filter_small_regions, geometry_csv_line, label_components_8
 from .synth import MANIFEST_NAME, generate_dataset
+
+DEFAULT_DIM = 20
 
 SEGMENT_HEADER = "path,x_cp,y_cp,r_x,r_y,area,left_x,right_x,left_fallback,right_fallback"
 CLASSIFY_HEADER = "path,class,confidence"
@@ -149,51 +133,70 @@ def load_config(args) -> dict:
     return parse_config_text(p.read_text(encoding="utf-8"))
 
 
-def _resolve(args, cfg: dict, attr: str, dotted: str, default):
-    flag = getattr(args, attr, None)
-    if flag is not None:
-        return flag
-    if dotted in cfg:
-        return cfg[dotted]
-    return default
+# Keyword of a config object or call -> (flag attribute, config key).
+PIPELINE_KNOBS = {
+    "threshold": ("threshold", "segmentation.threshold"),
+    "min_pupil_area": ("min_area", "segmentation.min_area"),
+}
+EDGE_KNOBS = {
+    "window": ("window", "boundary.window"),
+    "jump": ("jump", "boundary.jump"),
+    "default_annulus_width": ("annulus_width", "boundary.annulus_width"),
+}
+TRAIN_KNOBS = {
+    "lr0": ("lr", "train.lr0"),
+    "lr_inc": ("lr_inc", "train.lr_inc"),
+    "lr_dec": ("lr_dec", "train.lr_dec"),
+    "max_perf_inc": ("max_perf_inc", "train.max_perf_inc"),
+    "max_epochs": ("epochs", "train.max_epochs"),
+    "mse_goal": ("mse_goal", "train.mse_goal"),
+    "min_grad": ("min_grad", "train.min_grad"),
+}
+GRID_KNOBS = {
+    "class_counts": ("classes", "experiment.class_counts"),
+    "dims": ("dims", "experiment.dims"),
+    "n_train": ("n_train", "experiment.n_train"),
+    "base_seed": ("seed", "experiment.base_seed"),
+    "epoch_cap": ("epochs", "experiment.epoch_cap"),
+}
+SYNTH_KNOBS = {
+    "samples_per_class": ("samples", "synth.samples"),
+    "base_seed": ("seed", "synth.seed"),
+}
+
+
+def _knobs(args, cfg: dict, knobs: dict) -> dict:
+    """Keyword arguments for the knobs that a flag or the config file set.
+
+    A flag wins over the config file; a knob set by neither is left out, so
+    the callee's own default applies.  An explicit `none` in the config
+    file counts as set.
+    """
+    out = {}
+    for name, (attr, dotted) in knobs.items():
+        flag = getattr(args, attr, None)
+        if flag is not None:
+            out[name] = flag
+        elif dotted in cfg:
+            out[name] = cfg[dotted]
+    return out
 
 
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
     return PipelineConfig(
-        threshold=_resolve(args, cfg, "threshold", "segmentation.threshold", 70),
-        min_pupil_area=_resolve(args, cfg, "min_area", "segmentation.min_area", 2500),
-        edge=EdgeConfig(
-            window=_resolve(args, cfg, "window", "boundary.window", 5),
-            jump=_resolve(args, cfg, "jump", "boundary.jump", 25),
-            default_annulus_width=_resolve(
-                args, cfg, "annulus_width", "boundary.annulus_width", None
-            ),
-        ),
+        **_knobs(args, cfg, PIPELINE_KNOBS),
+        edge=EdgeConfig(**_knobs(args, cfg, EDGE_KNOBS)),
     )
 
 
 def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        lr0=_resolve(args, cfg, "lr", "train.lr0", 0.2),
-        lr_inc=_resolve(args, cfg, "lr_inc", "train.lr_inc", 1.05),
-        lr_dec=_resolve(args, cfg, "lr_dec", "train.lr_dec", 0.7),
-        max_perf_inc=_resolve(args, cfg, "max_perf_inc", "train.max_perf_inc", 1.04),
-        max_epochs=_resolve(args, cfg, "epochs", "train.max_epochs", 50000),
-        mse_goal=_resolve(args, cfg, "mse_goal", "train.mse_goal", 5e-7),
-        min_grad=_resolve(args, cfg, "min_grad", "train.min_grad", 1e-9),
-        seed=seed,
-    )
+    return TrainConfig(**_knobs(args, cfg, TRAIN_KNOBS), seed=seed)
 
 
 def cmd_synth(args) -> int:
     cfg = load_config(args)
     out = Path(args.out)
-    files = generate_dataset(
-        args.classes,
-        samples_per_class=_resolve(args, cfg, "samples", "synth.samples", 7),
-        base_seed=_resolve(args, cfg, "seed", "synth.seed", 0),
-        out_dir=out,
-    )
+    files = generate_dataset(args.classes, out_dir=out, **_knobs(args, cfg, SYNTH_KNOBS))
     if args.ascii_pgm:
         for f in files:
             write_pgm_file(f, read_pgm_file(f), ascii=True)
@@ -205,13 +208,8 @@ def _mask_to_gray(bits: np.ndarray) -> GrayImage:
     return GrayImage(pixels=np.where(bits == 1, 0, 255).astype(np.uint8))
 
 
-def _dump_stages(args, path: Path, pcfg: PipelineConfig) -> None:
-    img = read_pgm_file(path)
-    mask = threshold_dark(img, pcfg.threshold)
-    regions = label_components_8(mask)
-    filtered = filter_small_regions(regions, mask, pcfg.min_pupil_area)
-    pupil = pupil_geometry(mask, pcfg.min_pupil_area)
-    bounds = iris_bounds(img, pupil, pcfg.edge)
+def _dump_stages(args, path: Path, min_area: int, img, mask, pupil, bounds) -> None:
+    filtered = filter_small_regions(label_components_8(mask), mask, min_area)
     out_dir = Path(args.out) if args.out else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = (
@@ -233,12 +231,9 @@ def cmd_segment(args) -> int:
     for name in args.images:
         path = Path(name)
         try:
-            img = read_pgm_file(path)
-            mask = threshold_dark(img, pcfg.threshold)
-            pupil = pupil_geometry(mask, pcfg.min_pupil_area)
-            bounds = iris_bounds(img, pupil, pcfg.edge)
+            img, mask, pupil, bounds = segment_eye(path, pcfg)
             if args.dump_stages:
-                _dump_stages(args, path, pcfg)
+                _dump_stages(args, path, pcfg.min_pupil_area, img, mask, pupil, bounds)
         except Exception as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
@@ -254,31 +249,17 @@ def _labels_path(model_path: Path) -> Path:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     pcfg = _pipeline_config(args, cfg)
-    seed = _resolve(args, cfg, "seed", "train.seed", 0)
-    tcfg = _train_config(args, cfg, seed)
-    k = _resolve(args, cfg, "dim", "train.dim", 20)
+    own = _knobs(args, cfg, {"seed": ("seed", "train.seed"), "k": ("dim", "train.dim")})
+    tcfg = _train_config(args, cfg, own.get("seed", TrainConfig.seed))
+    k = own.get("k", DEFAULT_DIM)
 
-    try:
-        ds = load_dataset(args.data)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ds = load_dataset(args.data)
     train_set, _ = split(ds, args.n_train)
+    files = [p for cls in ds.classes for p in train_set[cls]]
+    spectra = {p: pipeline_features(p, pcfg, k).values for p in files}
+    trained, report = fit_classifier(spectra, ds.classes, train_set, k, tcfg)
 
-    n_classes = len(ds.classes)
-    rows = []
-    targets = []
-    for i, cls in enumerate(ds.classes):
-        for p in train_set[cls]:
-            rows.append(pipeline_features(p, pcfg, k).values)
-            targets.append(encode_target(i, n_classes))
-
-    scaling = fit_scaling(np.array(rows))
-    net = attach_scaling(init(MlpShape(k, default_hidden(k), n_classes), seed), scaling)
-    batch = [(apply_scaling(scaling, x), t) for x, t in zip(rows, targets)]
-    trained, report = train(net, batch, tcfg)
-
-    out = Path(args.out) if args.out else Path("model.txt")
+    out = Path(args.out)
     save_model(out, trained)
     _labels_path(out).write_text("".join(f"{c}\n" for c in ds.classes), encoding="utf-8")
     print(f"{out},{report.epochs_run},{report.final_mse:.6g},{report.stop_reason}")
@@ -329,24 +310,10 @@ def cmd_classify(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_config(args)
     pcfg = _pipeline_config(args, cfg)
-    base_seed = _resolve(args, cfg, "seed", "experiment.base_seed", 0)
-    tcfg = _train_config(args, cfg, seed=0)
-    grid = GridConfig(
-        class_counts=_resolve(
-            args, cfg, "classes", "experiment.class_counts", DEFAULT_CLASS_COUNTS
-        ),
-        dims=_resolve(args, cfg, "dims", "experiment.dims", DEFAULT_DIMS),
-        n_train=_resolve(args, cfg, "n_train", "experiment.n_train", 5),
-        base_seed=base_seed,
-        epoch_cap=_resolve(args, cfg, "epochs", "experiment.epoch_cap", 8000),
-    )
+    tcfg = _train_config(args, cfg, seed=TrainConfig.seed)
+    grid = GridConfig(**_knobs(args, cfg, GRID_KNOBS))
 
-    try:
-        ds = load_dataset(args.data)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    ds = load_dataset(args.data)
     result = run_experiment(ds, grid, tcfg, pcfg)
     report = emit_report(result)
     if args.out:
@@ -367,7 +334,15 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _shown(value) -> str:
+    """A default as the help text writes it: 5e-7, 3,10,20."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return f"{value:g}".replace("e-0", "e-")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    synth = {n: p.default for n, p in inspect.signature(generate_dataset).parameters.items()}
     parser = argparse.ArgumentParser(
         prog="irisvd",
         description="Iris recognition via singular-value features and a "
@@ -384,13 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipe = argparse.ArgumentParser(add_help=False)
     pipe.add_argument("--threshold", type=int, default=None,
-                      help="dark threshold (default 70)")
+                      help=f"dark threshold (default {PipelineConfig.threshold})")
     pipe.add_argument("--min-area", dest="min_area", type=int, default=None,
-                      help="minimum pupil area in pixels (default 2500)")
+                      help="minimum pupil area in pixels "
+                      f"(default {PipelineConfig.min_pupil_area})")
     pipe.add_argument("--window", type=int, default=None,
-                      help="edge confirmation window (default 5)")
+                      help=f"edge confirmation window (default {EdgeConfig.window})")
     pipe.add_argument("--jump", type=int, default=None,
-                      help="edge intensity jump (default 25)")
+                      help=f"edge intensity jump (default {EdgeConfig.jump})")
     pipe.add_argument("--annulus-width", dest="annulus_width", type=int,
                       default=None,
                       help="fallback iris annulus width in pixels "
@@ -398,26 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = argparse.ArgumentParser(add_help=False)
     tr.add_argument("--lr", type=float, default=None,
-                    help="initial learning rate (default 0.2)")
+                    help=f"initial learning rate (default {TrainConfig.lr0})")
     tr.add_argument("--lr-inc", dest="lr_inc", type=float, default=None,
-                    help="rate increment on improvement (default 1.05)")
+                    help=f"rate increment on improvement (default {TrainConfig.lr_inc})")
     tr.add_argument("--lr-dec", dest="lr_dec", type=float, default=None,
-                    help="rate decrement on rejection (default 0.7)")
+                    help=f"rate decrement on rejection (default {TrainConfig.lr_dec})")
     tr.add_argument("--max-perf-inc", dest="max_perf_inc", type=float,
                     default=None,
-                    help="worst accepted error ratio (default 1.04)")
+                    help=f"worst accepted error ratio (default {TrainConfig.max_perf_inc})")
     tr.add_argument("--mse-goal", dest="mse_goal", type=float, default=None,
-                    help="error goal (default 5e-7)")
+                    help=f"error goal (default {_shown(TrainConfig.mse_goal)})")
     tr.add_argument("--min-grad", dest="min_grad", type=float, default=None,
-                    help="gradient floor (default 1e-9)")
+                    help=f"gradient floor (default {_shown(TrainConfig.min_grad)})")
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic eye dataset")
     p.add_argument("--classes", type=_positive_int, required=True,
                    help="number of classes")
     p.add_argument("--samples", type=_positive_int, default=None,
-                   help="samples per class (default 7)")
-    p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+                   help=f"samples per class (default {synth['samples_per_class']})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"base seed (default {synth['base_seed']})")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ascii-pgm", dest="ascii_pgm", action="store_true",
                    help="write ASCII (P2) instead of binary PGMs")
@@ -438,15 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train a classifier on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--dim", type=int, default=None,
-                   help="feature dimension k (default 20)")
+                   help=f"feature dimension k (default {DEFAULT_DIM})")
     p.add_argument("--epochs", type=int, default=None,
-                   help="epoch cap (default 50000)")
+                   help=f"epoch cap (default {TrainConfig.max_epochs})")
     p.add_argument("--seed", type=int, default=None,
-                   help="weight init seed (default 0)")
-    p.add_argument("--n-train", dest="n_train", type=int, default=5,
-                   help="training samples per class (default 5)")
-    p.add_argument("--out", default=None,
-                   help="model file path (default model.txt)")
+                   help=f"weight init seed (default {TrainConfig.seed})")
+    p.add_argument("--n-train", dest="n_train", type=int, default=DEFAULT_N_TRAIN,
+                   help="training samples per class (default %(default)s)")
+    p.add_argument("--out", default="model.txt",
+                   help="model file path (default %(default)s)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("classify", parents=[common, pipe],
@@ -462,15 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--classes", type=_parse_int_list, default=None,
                    help="comma-separated class counts "
-                   "(default 3,4,5,6,7,8,9,10,20,40,50)")
+                   f"(default {_shown(GridConfig.class_counts)})")
     p.add_argument("--dims", type=_parse_int_list, default=None,
-                   help="comma-separated dimensions (default 3,10,20,40)")
+                   help=f"comma-separated dimensions (default {_shown(GridConfig.dims)})")
     p.add_argument("--epochs", type=int, default=None,
-                   help="per-cell epoch cap (default 8000)")
+                   help=f"per-cell epoch cap (default {GridConfig.epoch_cap})")
     p.add_argument("--seed", type=int, default=None,
-                   help="base seed for per-cell seeding (default 0)")
+                   help=f"base seed for per-cell seeding (default {GridConfig.base_seed})")
     p.add_argument("--n-train", dest="n_train", type=int, default=None,
-                   help="training samples per class (default 5)")
+                   help=f"training samples per class (default {GridConfig.n_train})")
     p.add_argument("--out", default=None, help="also write the CSV here")
     p.set_defaults(fn=cmd_experiment)
 
@@ -482,7 +459,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

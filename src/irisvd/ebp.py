@@ -409,6 +409,16 @@ def save_model(path, net: Mlp) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _parse_floats(parts, idx: int) -> list[float]:
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ModelFormatError(f"line {idx + 1}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ModelFormatError(f"line {idx + 1}: non-finite value")
+    return values
+
+
 def _parse_matrix(lines, idx: int, name: str, shape: tuple[int, int]):
     if idx >= len(lines) or lines[idx] != name:
         raise ModelFormatError(f"line {idx + 1}: expected section {name!r}")
@@ -423,10 +433,7 @@ def _parse_matrix(lines, idx: int, name: str, shape: tuple[int, int]):
                 f"line {idx + 1}: {name} row has {len(parts)} values, "
                 f"expected {shape[1]}"
             )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ModelFormatError(f"line {idx + 1}: {exc}") from None
+        rows.append(_parse_floats(parts, idx))
         idx += 1
     return np.array(rows), idx
 
@@ -450,10 +457,7 @@ def load_model(path) -> Mlp:
         parts = lines[idx].split() if idx < len(lines) else []
         if len(parts) != 4 or parts[0] != "scale" or parts[1] != str(i):
             raise ModelFormatError(f"line {idx + 1}: expected scale line {i}")
-        try:
-            scaling.append((float(parts[2]), float(parts[3])))
-        except ValueError as exc:
-            raise ModelFormatError(f"line {idx + 1}: {exc}") from None
+        scaling.append(tuple(_parse_floats(parts[2:], idx)))
         idx += 1
 
     w1, idx = _parse_matrix(lines, idx, "w1", (n_hidden, n_in))

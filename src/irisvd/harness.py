@@ -23,6 +23,7 @@ from .ebp import (
     Mlp,
     MlpShape,
     TrainConfig,
+    TrainReport,
     apply_scaling,
     attach_scaling,
     decode,
@@ -33,10 +34,16 @@ from .ebp import (
     init,
     train,
 )
-from .image_io import GrayImage, read_pgm_file
-from .iris_boundary import EdgeConfig, iris_bounds
-from .segmentation import pupil_geometry, threshold_dark
-from .svd import FeatureVector, Matrix, feature_vector, svd_factorize
+from .image_io import BinaryImage, GrayImage, read_pgm_file
+from .iris_boundary import EdgeConfig, IrisBounds, iris_bounds
+from .segmentation import (
+    DEFAULT_DARK_THRESHOLD,
+    DEFAULT_MIN_PUPIL_AREA,
+    PupilGeometry,
+    pupil_geometry,
+    threshold_dark,
+)
+from .svd import FeatureVector, Matrix, svd_factorize
 from .template import extract_iris_basis
 
 MIN_SAMPLES_PER_CLASS = 3
@@ -78,8 +85,8 @@ class Dataset:
 class PipelineConfig:
     """Knobs for the image-to-feature pipeline."""
 
-    threshold: int = 70
-    min_pupil_area: int = 2500
+    threshold: int = DEFAULT_DARK_THRESHOLD
+    min_pupil_area: int = DEFAULT_MIN_PUPIL_AREA
     edge: EdgeConfig = EdgeConfig()
 
 
@@ -202,22 +209,34 @@ def split(
     return train_set, test_set
 
 
+def _stage(name: str, path, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise PipelineStageError(name, path, exc) from exc
+
+
+def segment_eye(
+    path, cfg: PipelineConfig
+) -> tuple[GrayImage, BinaryImage, PupilGeometry, IrisBounds]:
+    """Read one eye image and locate its pupil and iris bounds.
+
+    Returns the image, its dark-pixel mask, the pupil and the bounds.  Any
+    stage failure surfaces as PipelineStageError naming the stage and the
+    file.
+    """
+    img = _stage("read", path, read_pgm_file, path)
+    mask = _stage("threshold", path, threshold_dark, img, cfg.threshold)
+    pupil = _stage("segment", path, pupil_geometry, mask, cfg.min_pupil_area)
+    bounds = _stage("bounds", path, iris_bounds, img, pupil, cfg.edge)
+    return img, mask, pupil, bounds
+
+
 def _template_spectrum(path, cfg: PipelineConfig) -> np.ndarray:
     """All singular values of one image's iris-basis template, descending."""
-
-    def stage(name, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise PipelineStageError(name, path, exc) from exc
-
-    img: GrayImage = stage("read", read_pgm_file, path)
-    mask = stage("threshold", threshold_dark, img, cfg.threshold)
-    pupil = stage("segment", pupil_geometry, mask, cfg.min_pupil_area)
-    bounds = stage("bounds", iris_bounds, img, pupil, cfg.edge)
-    tpl = stage("template", extract_iris_basis, img, pupil, bounds)
-    fact = stage("svd", svd_factorize, Matrix(entries=tpl.values))
-    return fact.s
+    img, _, pupil, bounds = segment_eye(path, cfg)
+    tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
+    return _stage("svd", path, svd_factorize, Matrix(entries=tpl.values)).s
 
 
 def pipeline_features(path, cfg: PipelineConfig, k: int) -> FeatureVector:
@@ -240,6 +259,27 @@ def cell_seed(base_seed: int, n_classes: int, dim: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def fit_classifier(
+    spectra: dict[Path, np.ndarray],
+    classes: tuple[str, ...],
+    train_set: dict[str, tuple[Path, ...]],
+    k: int,
+    cfg: TrainConfig,
+) -> tuple[Mlp, TrainReport]:
+    """Train a fresh network on the first k singular values of each
+    training image; class i of `classes` is output i.
+
+    The input scaling is fitted on the training rows and attached to the
+    network, whose initial weights come from cfg.seed.
+    """
+    n_classes = len(classes)
+    pairs = [(spectra[p][:k], i) for i, cls in enumerate(classes) for p in train_set[cls]]
+    scaling = fit_scaling(np.array([x for x, _ in pairs]))
+    net = attach_scaling(init(MlpShape(k, default_hidden(k), n_classes), cfg.seed), scaling)
+    batch = [(apply_scaling(scaling, x), encode_target(i, n_classes)) for x, i in pairs]
+    return train(net, batch, cfg)
+
+
 def _train_cell(
     spectra: dict[Path, np.ndarray],
     classes: tuple[str, ...],
@@ -248,32 +288,19 @@ def _train_cell(
     k: int,
     cfg: TrainConfig,
 ) -> GridCell:
-    n_classes = len(classes)
-    train_rows = []
-    train_targets = []
-    for i, cls in enumerate(classes):
-        for p in train_set[cls]:
-            train_rows.append(spectra[p][:k])
-            train_targets.append(encode_target(i, n_classes))
     test_pairs = [
         (spectra[p][:k], i) for i, cls in enumerate(classes) for p in test_set[cls]
     ]
     if not test_pairs:
         raise ValueError("no test samples in any selected class")
 
-    scaling = fit_scaling(np.array(train_rows))
-    net = attach_scaling(init(MlpShape(k, default_hidden(k), n_classes), cfg.seed), scaling)
-    batch = [
-        (apply_scaling(scaling, x), t) for x, t in zip(train_rows, train_targets)
-    ]
-    trained, report = train(net, batch, cfg)
-
+    trained, report = fit_classifier(spectra, classes, train_set, k, cfg)
     correct = sum(
-        decode(forward(trained, apply_scaling(scaling, x))) == want
+        decode(forward(trained, apply_scaling(trained.feature_scaling, x))) == want
         for x, want in test_pairs
     )
     return GridCell(
-        classes=n_classes,
+        classes=len(classes),
         dim=k,
         rate=correct / len(test_pairs),
         epochs=report.epochs_run,

@@ -266,19 +266,6 @@ def write_pgm_file(path, img: GrayImage, ascii: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # Raster transforms
 
-def contrast_stretch(img: GrayImage, low: int, high: int) -> GrayImage:
-    """Affine remap of [low, high] onto [0, 255], clamped.
-
-    Each pixel p maps to clamp(round((p - low) * 255 / (high - low)), 0, 255)
-    with round-half-away-from-zero.  Monotone in p.
-    """
-    if low >= high:
-        raise ValueError(f"invalid contrast range: low={low} must be < high={high}")
-    scaled = (img.pixels.astype(np.float64) - low) * 255.0 / (high - low)
-    out = np.clip(round_half_away(scaled), 0, 255)
-    return GrayImage(out)
-
-
 def block_downsample(img: GrayImage, block: int) -> GrayImage:
     """Average block x block tiles into single pixels (rounded mean).
 

@@ -10,7 +10,7 @@ Coordinates are (x, y) with origin top-left, x rightward, y downward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +18,6 @@ from .image_io import BinaryImage, GrayImage, round_half_away
 
 DEFAULT_DARK_THRESHOLD = 70
 DEFAULT_MIN_PUPIL_AREA = 2500
-
-# Freeman 8-direction convention, 0 = east, counterclockwise on screen
-# (y grows downward, so "north" is -y).
-FREEMAN_STEPS = (
-    (1, 0),    # 0 E
-    (1, -1),   # 1 NE
-    (0, -1),   # 2 N
-    (-1, -1),  # 3 NW
-    (-1, 0),   # 4 W
-    (-1, 1),   # 5 SW
-    (0, 1),    # 6 S
-    (1, 1),    # 7 SE
-)
-
-# Clockwise scan order around a pixel, as Freeman direction indices.
-_CLOCKWISE = (0, 7, 6, 5, 4, 3, 2, 1)
 
 
 class PupilNotFoundError(RuntimeError):
@@ -71,24 +55,6 @@ class PupilGeometry:
     def __post_init__(self):
         if self.r_x <= 0 or self.r_y <= 0:
             raise ValueError("pupil radii must be positive")
-
-
-@dataclass(frozen=True)
-class ChainCode:
-    """Freeman chain: a start pixel plus 8-direction moves along the boundary."""
-
-    start: tuple[int, int]
-    moves: tuple[int, ...] = field(default_factory=tuple)
-
-    def replay(self) -> list[tuple[int, int]]:
-        """Pixels visited, starting at start; closed chains end where they began."""
-        x, y = self.start
-        path = [(x, y)]
-        for m in self.moves:
-            dx, dy = FREEMAN_STEPS[m]
-            x, y = x + dx, y + dy
-            path.append((x, y))
-        return path
 
 
 def threshold_dark(img: GrayImage, t: int = DEFAULT_DARK_THRESHOLD) -> BinaryImage:
@@ -195,68 +161,6 @@ def filter_small_regions(
             for x, y in region.pixels:
                 out[y, x] = 0
     return BinaryImage(out)
-
-
-def trace_boundary(bin_img: BinaryImage, region: Region) -> ChainCode:
-    """Moore boundary trace of one region as a closed Freeman chain.
-
-    Starts at the region's topmost-then-leftmost pixel and walks the outer
-    boundary clockwise, examining each pixel's 8-neighbourhood from the
-    previous backtrack position.  The walk is a deterministic map on
-    (pixel, backtrack) states, so it is run until a state repeats; the
-    periodic part is the outer contour, which is then rotated to begin at
-    the start pixel.  (Stopping on re-entry of the initial state alone can
-    spin forever on blobs with single-pixel diagonal bridges, where the
-    orbit has a non-cyclic lead-in.)  A single-pixel region yields a chain
-    with no moves.
-    """
-    if not region.pixels:
-        raise ValueError("cannot trace an empty region")
-    member = region.pixels
-    start = min(member, key=lambda p: (p[1], p[0]))
-
-    # Backtrack begins west of the start pixel, which cannot be a member
-    # (the start is leftmost in the topmost row).
-    sx, sy = start
-    state = (start, (sx - 1, sy))
-    seen: dict[tuple, int] = {}
-    moves: list[int] = []
-    positions = [start]
-    limit = 8 * len(member) + 2
-    while state not in seen:
-        if len(moves) > limit:
-            raise RuntimeError("boundary trace failed to close")
-        seen[state] = len(moves)
-        (cx, cy), backtrack = state
-        bdx, bdy = backtrack[0] - cx, backtrack[1] - cy
-        b_idx = _CLOCKWISE.index(FREEMAN_STEPS.index((bdx, bdy)))
-        found = None
-        for step in range(1, 9):
-            direction = _CLOCKWISE[(b_idx + step) % 8]
-            dx, dy = FREEMAN_STEPS[direction]
-            candidate = (cx + dx, cy + dy)
-            if candidate in member:
-                found = (candidate, direction)
-                break
-            backtrack = candidate
-        if found is None:
-            return ChainCode(start=start, moves=())  # isolated pixel
-        current, direction = found
-        moves.append(direction)
-        positions.append(current)
-        state = (current, backtrack)
-
-    first = seen[state]
-    cycle_moves = moves[first:]
-    cycle_positions = positions[first : len(moves)]  # one entry per cycle move
-    if start in cycle_positions:
-        pivot = cycle_positions.index(start)
-        return ChainCode(start=start, moves=tuple(cycle_moves[pivot:] + cycle_moves[:pivot]))
-    # Outer contour without the start pixel should not happen; walk out,
-    # around the cycle, and back so the chain still closes at start.
-    lead = moves[:first]
-    lead_back = [(m + 4) % 8 for m in reversed(lead)]
-    return ChainCode(start=start, moves=tuple(lead + cycle_moves + lead_back))
 
 
 def pupil_geometry(

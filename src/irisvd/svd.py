@@ -20,6 +20,8 @@ import numpy as np
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
+# Largest |tau| whose square is finite.
+_TAU_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,15 +183,21 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
             rotate = off > JACOBI_TOL
             if not rotate.any():
                 continue
+            rp, rq = ps[rotate], qs[rotate]
             tau = (aqq[rotate] - app[rotate]) / (2.0 * apq[rotate])
+            abs_tau = np.abs(tau)
+            if abs_tau.max() > _TAU_MAX:
+                # tau * tau would overflow, and t rounds to 0 anyway: such a
+                # pair's column norms differ over 1e142-fold.  Leave it be.
+                keep = abs_tau <= _TAU_MAX
+                rp, rq, tau, abs_tau = rp[keep], rq[keep], tau[keep], abs_tau[keep]
             t = np.where(
                 tau == 0.0,
                 1.0,
-                np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
+                np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)),
             )
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            rp, rq = ps[rotate], qs[rotate]
             wp, wq = w[:, rp], w[:, rq]
             w[:, rp] = c * wp - s * wq
             w[:, rq] = s * wp + c * wq
@@ -218,27 +226,3 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     v[:, flip] *= -1.0
     return SvdFactorization(u=u, s=sigma, v=v)
 
-
-def feature_vector(f: SvdFactorization, k: int) -> FeatureVector:
-    """Leading k singular values, order preserved."""
-    if not 1 <= k <= f.n:
-        raise ValueError(f"k must be in [1, {f.n}], got {k}")
-    return FeatureVector(k=k, values=f.s[:k])
-
-
-def truncation_energy(f: SvdFactorization, k: int) -> float:
-    """Energy fraction sum(s[:k]^2) / sum(s^2); 1.0 for an all-zero spectrum."""
-    if not 1 <= k <= f.n:
-        raise ValueError(f"k must be in [1, {f.n}], got {k}")
-    total = float(np.sum(f.s * f.s))
-    if total == 0.0:
-        return 1.0
-    return float(np.sum(f.s[:k] * f.s[:k])) / total
-
-
-def feature_csv_line(label: str, fv: FeatureVector) -> str:
-    """One record: label, k, then the values at 12 significant digits."""
-    if "," in label:
-        raise ValueError(f"label may not contain commas: {label!r}")
-    values = ",".join(f"{x:.12g}" for x in fv.values)
-    return f"{label},{fv.k},{values}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_io import GrayImage, block_downsample, round_half_away
+from .image_io import GrayImage, block_downsample
 from .iris_boundary import IrisBounds
 from .segmentation import PupilGeometry
 
@@ -58,10 +58,6 @@ class IrisTemplate:
         if not isinstance(other, IrisTemplate):
             return NotImplemented
         return np.array_equal(self.values, other.values)
-
-    def to_gray(self) -> GrayImage:
-        """Rescale to [0, 255] for PGM dumps."""
-        return GrayImage(pixels=round_half_away(self.values * 255.0).astype(np.float64))
 
 
 def _fit_width(arr: np.ndarray, out_cols: int) -> np.ndarray:

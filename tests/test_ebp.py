@@ -641,8 +641,11 @@ class TestModelFile:
             ("w1", "bogus"),
             ("scale 0", "scale 0 abc 1"),
             ("shape", "shape 0 1 1"),
+            ("w1", "nan"),
+            ("scale 0", "scale 0 nan 1"),
+            ("scale 0", "scale 0 1 inf"),
         ],
-        ids=["weight", "scale", "shape"],
+        ids=["weight", "scale", "shape", "weight_nan", "scale_nan", "scale_inf"],
     )
     def test_bad_value_rejected(self, tmp_path, section, replacement):
         net = ebp.init(ebp.MlpShape(2, 4, 2), seed=1)

@@ -10,7 +10,7 @@ import pytest
 from irisvd import harness
 from irisvd.ebp import TrainConfig
 from irisvd.image_io import GrayImage, write_pgm_file
-from irisvd.synth import generate_dataset
+from irisvd.synth import EyeSpec, class_seed_for, generate_dataset, generate_eye
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,17 @@ class TestPipelineFeatures:
             harness.pipeline_features(path, harness.PipelineConfig(), k=3)
         assert info.value.stage == "segment"
         assert "blank.pgm" in str(info.value)
+
+    def test_tight_crop_has_finite_spectrum(self, tmp_path):
+        # Cropped to the pupil plus 2 px, the template is rank-deficient and
+        # its Jacobi sweeps used to overflow tau * tau; warnings are errors.
+        img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
+        path = tmp_path / "crop.pgm"
+        write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
+        spectrum = harness._template_spectrum(path, harness.PipelineConfig())
+        assert spectrum.size == 40
+        assert np.all(np.isfinite(spectrum)) and np.all(np.diff(spectrum) <= 0.0)
+        assert spectrum[-1] < 1e-13 * spectrum[0]
 
     def test_dimension_bounds(self, dataset):
         path = dataset.paths_for(dataset.classes[0])[0]

@@ -1,4 +1,4 @@
-"""PGM round-trips, contrast stretch, and block downsampling."""
+"""PGM round-trips and block downsampling."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ from irisvd.image_io import (
     GrayImage,
     PgmParseError,
     block_downsample,
-    contrast_stretch,
     read_pgm,
     round_half_away,
     write_pgm,
@@ -152,42 +151,6 @@ class TestRoundHalfAway:
     def test_array(self):
         out = round_half_away(np.array([0.5, 1.5, 2.49]))
         assert list(out) == [1, 2, 2]
-
-
-class TestContrastStretch:
-    def test_endpoints(self):
-        img = GrayImage.from_flat(3, 1, [70, 200, 135])
-        out = contrast_stretch(img, 70, 200)
-        assert out.pixels[0, 0] == 0
-        assert out.pixels[0, 1] == 255
-        # (135-70)*255/130 = 127.5, half away from zero -> 128
-        assert out.pixels[0, 2] == 128
-
-    def test_clamps_outside_range(self):
-        img = GrayImage.from_flat(2, 1, [10, 250])
-        out = contrast_stretch(img, 70, 200)
-        assert out.pixels[0, 0] == 0
-        assert out.pixels[0, 1] == 255
-
-    def test_invalid_range(self):
-        img = GrayImage.from_flat(1, 1, [0])
-        with pytest.raises(ValueError):
-            contrast_stretch(img, 200, 70)
-        with pytest.raises(ValueError):
-            contrast_stretch(img, 70, 70)
-
-    def test_monotone(self):
-        rng = np.random.default_rng(99)
-        img = GrayImage(np.sort(rng.integers(0, 256, size=(1, 256))))
-        low, high = 30, 220
-        out = contrast_stretch(img, low, high)
-        diffs = np.diff(out.pixels[0].astype(int))
-        assert (diffs >= 0).all()
-
-    def test_preserves_dimensions(self):
-        img = GrayImage(np.zeros((7, 11), dtype=np.uint8))
-        out = contrast_stretch(img, 0, 100)
-        assert (out.width, out.height) == (11, 7)
 
 
 class TestBlockDownsample:

@@ -1,8 +1,8 @@
-"""Thresholding, 8-connected labeling, region filtering, boundary tracing, pupil geometry.
+"""Thresholding, 8-connected labeling, region filtering, pupil geometry.
 
 The labeling tests compare against an independent stack-based flood-fill
-oracle; the boundary tests against a brute-force boundary-membership oracle.
-Both oracles live here, not in the package, so the two routes stay separate.
+oracle, which lives here, not in the package, so the two routes stay
+separate.
 """
 
 import numpy as np
@@ -10,14 +10,12 @@ import pytest
 
 from irisvd.image_io import BinaryImage, GrayImage
 from irisvd.segmentation import (
-    ChainCode,
     PupilNotFoundError,
     Region,
     filter_small_regions,
     label_components_8,
     pupil_geometry,
     threshold_dark,
-    trace_boundary,
 )
 
 NEIGHBORS_8 = [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
@@ -44,17 +42,6 @@ def flood_fill_components(bits: np.ndarray) -> list[set]:
                             stack.append((nx, ny))
                 components.append(comp)
     return components
-
-
-def boundary_pixels(component: set) -> set:
-    """Oracle: members with at least one 4-neighbor outside the component."""
-    out = set()
-    for x, y in component:
-        for dx, dy in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-            if (x + dx, y + dy) not in component:
-                out.add((x, y))
-                break
-    return out
 
 
 def disk_mask(w, h, cx, cy, r):
@@ -187,58 +174,6 @@ class TestFilterSmallRegions:
         assert not np.any((out.bits == 1) & (img.bits == 0))
 
 
-class TestTraceBoundary:
-    def _regions(self, bits):
-        img = BinaryImage(bits)
-        return img, label_components_8(img)
-
-    def test_single_pixel_degenerate(self):
-        bits = np.zeros((3, 3), dtype=np.uint8)
-        bits[1, 1] = 1
-        img, regions = self._regions(bits)
-        chain = trace_boundary(img, regions[0])
-        assert chain.start == (1, 1)
-        assert chain.moves == ()
-
-    def test_two_by_two_square(self):
-        # Hand-run of the Moore trace from (1,1): east, south, west, north.
-        bits = np.zeros((4, 4), dtype=np.uint8)
-        bits[1:3, 1:3] = 1
-        img, regions = self._regions(bits)
-        chain = trace_boundary(img, regions[0])
-        assert chain.start == (1, 1)
-        assert chain.moves == (0, 6, 4, 2)
-        path = chain.replay()
-        assert path[0] == path[-1] == (1, 1)
-        assert set(path) == {(1, 1), (2, 1), (1, 2), (2, 2)}
-
-    def test_filled_square_boundary_set(self):
-        bits = np.zeros((14, 14), dtype=np.uint8)
-        bits[2:12, 2:12] = 1
-        img, regions = self._regions(bits)
-        chain = trace_boundary(img, regions[0])
-        path = chain.replay()
-        assert path[0] == path[-1]
-        assert set(path) == boundary_pixels(set(regions[0].pixels))
-
-    def test_replay_visits_only_members_random_blobs(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            bits = (rng.random((16, 16)) < 0.45).astype(np.uint8)
-            img, regions = self._regions(bits)
-            for region in regions:
-                chain = trace_boundary(img, region)
-                path = chain.replay()
-                assert path[0] == path[-1]
-                assert set(path) <= set(region.pixels)
-
-    def test_disk_boundary_on_circle_ring(self):
-        bits = disk_mask(40, 40, 20, 20, 12)
-        img, regions = self._regions(bits)
-        chain = trace_boundary(img, regions[0])
-        assert set(chain.replay()) == boundary_pixels(set(regions[0].pixels))
-
-
 class TestPupilGeometry:
     def test_filled_disk(self):
         bits = disk_mask(320, 280, 160, 140, 30)
@@ -288,11 +223,7 @@ class TestPupilGeometry:
         assert geom.y_cp == pytest.approx(np.mean([y for _, y in big]), abs=1e-9)
 
 
-class TestChainCodeType:
-    def test_replay_moves(self):
-        chain = ChainCode(start=(5, 5), moves=(0, 6, 4, 2))
-        assert chain.replay() == [(5, 5), (6, 5), (6, 6), (5, 6), (5, 5)]
-
+class TestRegionType:
     def test_region_validates_area(self):
         with pytest.raises(ValueError):
             Region(label=1, area=2, pixels=frozenset({(0, 0)}), bounding_box=(0, 0, 0, 0))

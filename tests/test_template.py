@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from irisvd.image_io import GrayImage, read_pgm, write_pgm
+from irisvd.image_io import GrayImage
 from irisvd.iris_boundary import IrisBounds
 from irisvd.segmentation import PupilGeometry
 from irisvd.synth import EyeSpec, generate_eye
@@ -40,10 +40,6 @@ class TestIrisTemplate:
         a = IrisTemplate(values=np.full((4, 6), 0.5))
         b = IrisTemplate(values=np.full((4, 6), 0.5))
         assert a == b and a.rows == 4 and a.cols == 6
-
-    def test_to_gray_scales(self):
-        t = IrisTemplate(values=np.full((4, 4), 0.5))
-        assert np.all(t.to_gray().pixels == 128)
 
 
 class TestExtractIrisBasis:
@@ -133,9 +129,3 @@ class TestExtractIrisBasis:
             same = np.linalg.norm(a1 - a2)
             cross = np.linalg.norm(a1 - b1)
             assert same < cross, f"{class_a}/{class_b}: {same} !< {cross}"
-
-    def test_pgm_round_trip(self):
-        img, pupil, bounds = generate_eye(EyeSpec(class_seed=3, sample_seed=1))
-        t = extract_iris_basis(img, pupil, bounds)
-        back = read_pgm(write_pgm(t.to_gray()))
-        assert back == t.to_gray()
