@@ -182,15 +182,24 @@ def _knobs(args, cfg: dict, knobs: dict) -> dict:
     return out
 
 
+def _config(cls, **knobs):
+    """cls(**knobs), with an out-of-range knob reported as a ConfigError."""
+    try:
+        return cls(**knobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
-    return PipelineConfig(
+    return _config(
+        PipelineConfig,
         **_knobs(args, cfg, PIPELINE_KNOBS),
-        edge=EdgeConfig(**_knobs(args, cfg, EDGE_KNOBS)),
+        edge=_config(EdgeConfig, **_knobs(args, cfg, EDGE_KNOBS)),
     )
 
 
 def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(**_knobs(args, cfg, TRAIN_KNOBS), seed=seed)
+    return _config(TrainConfig, **_knobs(args, cfg, TRAIN_KNOBS), seed=seed)
 
 
 def cmd_synth(args) -> int:
@@ -311,7 +320,7 @@ def cmd_experiment(args) -> int:
     cfg = load_config(args)
     pcfg = _pipeline_config(args, cfg)
     tcfg = _train_config(args, cfg, seed=TrainConfig.seed)
-    grid = GridConfig(**_knobs(args, cfg, GRID_KNOBS))
+    grid = _config(GridConfig, **_knobs(args, cfg, GRID_KNOBS))
 
     ds = load_dataset(args.data)
     result = run_experiment(ds, grid, tcfg, pcfg)

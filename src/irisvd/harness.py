@@ -89,6 +89,10 @@ class PipelineConfig:
     min_pupil_area: int = DEFAULT_MIN_PUPIL_AREA
     edge: EdgeConfig = EdgeConfig()
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.threshold <= 255:
+            raise ValueError(f"threshold must be in [0, 255], got {self.threshold}")
+
 
 @dataclass(frozen=True)
 class GridConfig:

@@ -83,7 +83,7 @@ class BinaryImage:
         arr = np.array(self.bits, dtype=np.int64, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"BinaryImage needs a 2-D array, got shape {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if arr.min() < 0 or arr.max() > 1:
             raise ValueError("BinaryImage bits must be exactly 0 or 1")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)

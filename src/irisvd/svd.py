@@ -155,11 +155,11 @@ def _fill_orthonormal(u: np.ndarray, col: int) -> np.ndarray:
 def svd_factorize(a: Matrix) -> SvdFactorization:
     """One-sided Jacobi SVD of the (tall-oriented) matrix.
 
-    Column pairs are rotated until the largest normalized inner product
-    drops below 1e-12, capped at 60 sweeps.  Columns whose norm vanishes
-    (rank deficiency) get orthonormal stand-in U columns, and each V column
-    is sign-fixed so its largest-magnitude entry is nonnegative, which makes
-    the result deterministic and unique for almost every input.
+    Column pairs whose normalized inner product exceeds 1e-12 are rotated
+    until a sweep rotates none, capped at 60 sweeps.  Columns whose norm
+    vanishes (rank deficiency) get orthonormal stand-in U columns, and each V
+    column is sign-fixed so its largest-magnitude entry is nonnegative, which
+    makes the result deterministic and unique for almost every input.
     """
     w = np.array(a.entries, dtype=np.float64)
     n = w.shape[1]
@@ -167,7 +167,7 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     rounds = _round_robin_pairs(n)
 
     for _ in range(JACOBI_MAX_SWEEPS):
-        worst = 0.0
+        rotated = False
         for ps, qs in rounds:
             wp = w[:, ps]
             wq = w[:, qs]
@@ -178,8 +178,6 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
             live = denom > 0.0
             off = np.zeros_like(apq)
             off[live] = np.abs(apq[live]) / denom[live]
-            if off.size:
-                worst = max(worst, float(off.max()))
             rotate = off > JACOBI_TOL
             if not rotate.any():
                 continue
@@ -191,6 +189,7 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
                 # pair's column norms differ over 1e142-fold.  Leave it be.
                 keep = abs_tau <= _TAU_MAX
                 rp, rq, tau, abs_tau = rp[keep], rq[keep], tau[keep], abs_tau[keep]
+            rotated = rotated or rp.size > 0
             t = np.where(
                 tau == 0.0,
                 1.0,
@@ -204,7 +203,8 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
             vp, vq = v[:, rp], v[:, rq]
             v[:, rp] = c * vp - s * vq
             v[:, rq] = s * vp + c * vq
-        if worst < JACOBI_TOL:
+        if not rotated:
+            # w and v are unchanged, so every later sweep would be the same.
             break
 
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))

@@ -321,6 +321,29 @@ class TestConfigFile:
             "pipeline": harness.PipelineConfig(),
         }
 
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [
+            ("experiment", [], "experiment.dims =\n"),
+            ("train", ["--lr-inc", "0.5"], ""),
+            ("segment", [], "segmentation.threshold = 300\n"),
+        ],
+        ids=["empty_dims", "lr_inc_below_1", "threshold_300"],
+    )
+    def test_out_of_range_knob_is_config_error(
+        self, eye_dir, tmp_path, capsys, command, flags, config
+    ):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(config)
+        inputs = (
+            [str(sorted(eye_dir.glob("*.pgm"))[0])]
+            if command == "segment"
+            else ["--data", str(eye_dir), "--out", str(tmp_path / "out")]
+        )
+        code = cli.main([command, "--config", str(cfg), *flags, *inputs])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_comments_and_blank_lines(self):
         parsed = cli.parse_config_text(
             "# full comment\n\nsegmentation.threshold = 64  # inline\n"
@@ -354,14 +377,43 @@ class TestHelp:
         assert "--config" in capsys.readouterr().out
 
 
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkHooks:
     def test_traced_names_still_exist(self):
         # The traced benchmark wraps these names where the program looks
         # them up; a rename would silently drop a span.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_tracing()
         modules = (cli, harness, segmentation, synth)
         for span, attr in tracing.WRAPPED.items():
             assert any(callable(getattr(m, attr, None)) for m in modules), span
+
+    def test_segment_records_every_layer(self, eye_dir, capsys):
+        # The traced benchmark exits 1 when a layer it expects has no span.
+        tracing = load_tracing()
+        tracer = tracing.Tracer()
+        tracer.install((cli, harness, segmentation, synth))
+        img = sorted(eye_dir.glob("*.pgm"))[0]
+        try:
+            with tracer.request("segment", kind="op"):
+                assert cli.main(["segment", str(img)]) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        layers = (
+            "image_io.read",
+            "segmentation.threshold",
+            "segmentation.geometry",
+            "segmentation.label",
+            "iris_boundary.bounds",
+        )
+        assert tracing.missing_layers(tracer.spans, layers) == []
+        [label] = [s for s in tracer.spans if s["name"] == "segmentation.label"]
+        mask = threshold_dark(read_pgm_file(img))
+        assert label["attrs"]["regions"] == len(label_components_8(mask))

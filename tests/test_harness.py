@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from irisvd import harness
+from irisvd import harness, svd
 from irisvd.ebp import TrainConfig
 from irisvd.image_io import GrayImage, write_pgm_file
 from irisvd.synth import EyeSpec, class_seed_for, generate_dataset, generate_eye
@@ -165,13 +165,24 @@ class TestPipelineFeatures:
         assert info.value.stage == "segment"
         assert "blank.pgm" in str(info.value)
 
-    def test_tight_crop_has_finite_spectrum(self, tmp_path):
+    def test_tight_crop_has_finite_spectrum(self, tmp_path, monkeypatch):
         # Cropped to the pupil plus 2 px, the template is rank-deficient and
         # its Jacobi sweeps used to overflow tau * tau; warnings are errors.
+        # A pair too lopsided to rotate must not keep the sweeps running.
+        sweeps = []
+
+        class Rounds(list):
+            def __iter__(self):
+                sweeps.append(1)
+                return super().__iter__()
+
+        pairs = svd._round_robin_pairs
+        monkeypatch.setattr(svd, "_round_robin_pairs", lambda n: Rounds(pairs(n)))
         img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
         path = tmp_path / "crop.pgm"
         write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
         spectrum = harness._template_spectrum(path, harness.PipelineConfig())
+        assert 0 < len(sweeps) < svd.JACOBI_MAX_SWEEPS
         assert spectrum.size == 40
         assert np.all(np.isfinite(spectrum)) and np.all(np.diff(spectrum) <= 0.0)
         assert spectrum[-1] < 1e-13 * spectrum[0]

@@ -50,9 +50,10 @@ class TestGrayImage:
 
 
 class TestBinaryImage:
-    def test_rejects_non_binary(self):
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_rejects_non_binary(self, value):
         with pytest.raises(ValueError):
-            BinaryImage(np.array([[0, 2]]))
+            BinaryImage(np.array([[0, value]]))
 
     def test_foreground_count(self):
         assert BinaryImage(np.array([[1, 0], [1, 1]])).foreground_count() == 3

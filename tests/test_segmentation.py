@@ -8,10 +8,9 @@ separate.
 import numpy as np
 import pytest
 
-from irisvd.image_io import BinaryImage, GrayImage
+from irisvd.image_io import BinaryImage, GrayImage, round_half_away
 from irisvd.segmentation import (
     PupilNotFoundError,
-    Region,
     filter_small_regions,
     label_components_8,
     pupil_geometry,
@@ -44,9 +43,46 @@ def flood_fill_components(bits: np.ndarray) -> list[set]:
     return components
 
 
+def oracle_run_length(line: list, anchor: int) -> int:
+    """Run of the sorted line that holds anchor, else the longest run, else 1."""
+    if not line:
+        return 1
+    runs = []
+    run_start = prev = line[0]
+    for v in line[1:]:
+        if v != prev + 1:
+            runs.append((run_start, prev))
+            run_start = v
+        prev = v
+    runs.append((run_start, prev))
+    for lo, hi in runs:
+        if lo <= anchor <= hi:
+            return hi - lo + 1
+    return max(hi - lo + 1 for lo, hi in runs)
+
+
+def oracle_geometry(comp: set) -> tuple:
+    """(x_cp, y_cp, r_x, r_y, area) of one oracle component, in plain Python."""
+    x_cp = sum(x for x, _ in comp) / len(comp)
+    y_cp = sum(y for _, y in comp) / len(comp)
+    row, col = round_half_away(y_cp), round_half_away(x_cp)
+    r_x = oracle_run_length(sorted(x for x, y in comp if y == row), col) / 2.0
+    r_y = oracle_run_length(sorted(y for x, y in comp if x == col), row) / 2.0
+    return x_cp, y_cp, r_x, r_y, len(comp)
+
+
 def disk_mask(w, h, cx, cy, r):
     ys, xs = np.mgrid[0:h, 0:w]
     return ((xs - cx) ** 2 + (ys - cy) ** 2 <= r * r).astype(np.uint8)
+
+
+def c_mask(w, h, cx, cy, r_in, r_out):
+    """A thick ring open to the right: its centroid lies in the hole."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+    ring = (d2 >= r_in * r_in) & (d2 <= r_out * r_out)
+    gap = (xs > cx) & (np.abs(ys - cy) < r_in)
+    return (ring & ~gap).astype(np.uint8)
 
 
 class TestFloodFillOracle:
@@ -114,7 +150,7 @@ class TestLabelComponents:
             bits = (rng.random((64, 64)) < density).astype(np.uint8)
             regions = label_components_8(BinaryImage(bits))
             oracle = flood_fill_components(bits)
-            assert {frozenset(r.pixels) for r in regions} == {
+            assert {frozenset(zip(r.xs.tolist(), r.ys.tolist())) for r in regions} == {
                 frozenset(c) for c in oracle
             }
 
@@ -122,9 +158,11 @@ class TestLabelComponents:
         rng = np.random.default_rng(7)
         bits = (rng.random((32, 32)) < 0.3).astype(np.uint8)
         regions = label_components_8(BinaryImage(bits))
-        firsts = [min((y, x) for x, y in r.pixels) for r in regions]
+        firsts = [(r.ys[0], r.xs[0]) for r in regions]
         assert firsts == sorted(firsts)
         assert [r.label for r in regions] == list(range(1, len(regions) + 1))
+        for r in regions:
+            assert np.all(np.diff(r.ys * bits.shape[1] + r.xs) > 0)
 
     def test_areas_sum_to_foreground(self):
         rng = np.random.default_rng(11)
@@ -132,12 +170,6 @@ class TestLabelComponents:
         img = BinaryImage(bits)
         regions = label_components_8(img)
         assert sum(r.area for r in regions) == img.foreground_count()
-
-    def test_bounding_boxes(self):
-        bits = np.zeros((5, 5), dtype=np.uint8)
-        bits[1:4, 2] = 1
-        region = label_components_8(BinaryImage(bits))[0]
-        assert region.bounding_box == (2, 1, 2, 3)
 
 
 class TestFilterSmallRegions:
@@ -213,17 +245,19 @@ class TestPupilGeometry:
         assert geom.x_cp == pytest.approx((100 + 179) / 2)
 
     def test_matches_oracle_pipeline(self):
-        # Largest-component centroid via the flood-fill oracle, to 1e-9.
-        bits = disk_mask(200, 200, 90, 110, 35)
-        bits[5:10, 5:10] = 1  # small distractor
-        geom = pupil_geometry(BinaryImage(bits), min_area=2500)
-        comps = flood_fill_components(bits)
-        big = max(comps, key=len)
-        assert geom.x_cp == pytest.approx(np.mean([x for x, _ in big]), abs=1e-9)
-        assert geom.y_cp == pytest.approx(np.mean([y for _, y in big]), abs=1e-9)
-
-
-class TestRegionType:
-    def test_region_validates_area(self):
-        with pytest.raises(ValueError):
-            Region(label=1, area=2, pixels=frozenset({(0, 0)}), bounding_box=(0, 0, 0, 0))
+        # Largest flood-fill component (first in scan order on a tie),
+        # measured in plain Python; integer sums make the centroid exact.
+        disk = disk_mask(200, 200, 90, 110, 35)
+        disk[5:10, 5:10] = 1  # small distractor
+        masks = [(disk, 2500), (c_mask(200, 200, 100, 100, 30, 45), 2500)]
+        rng = np.random.default_rng(13)
+        masks += [((rng.random((48, 48)) < d).astype(np.uint8), 1) for d in (0.3, 0.45, 0.6)]
+        fallbacks = 0
+        for bits, min_area in masks:
+            geom = pupil_geometry(BinaryImage(bits), min_area=min_area)
+            big = max(flood_fill_components(bits), key=len)
+            assert (geom.x_cp, geom.y_cp, geom.r_x, geom.r_y, geom.area) == (
+                oracle_geometry(big)
+            )
+            fallbacks += (round_half_away(geom.x_cp), round_half_away(geom.y_cp)) not in big
+        assert fallbacks >= 1  # the C-shaped mask's centroid lies in its hole
