@@ -37,6 +37,7 @@ from .image_io import GrayImage, read_pgm_file, write_pgm_file
 from .iris_boundary import EdgeConfig, bounds_csv_line, mark_bounds
 from .segmentation import filter_small_regions, geometry_csv_line, label_components_8
 from .synth import MANIFEST_NAME, generate_dataset
+from .template import TEMPLATE_COLS, TEMPLATE_ROWS
 
 DEFAULT_DIM = 20
 
@@ -202,6 +203,14 @@ def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
     return _config(TrainConfig, **_knobs(args, cfg, TRAIN_KNOBS), seed=seed)
 
 
+def _check_dim(k: int) -> int:
+    """k, checked against the number of singular values a template has."""
+    top = min(TEMPLATE_ROWS, TEMPLATE_COLS)
+    if not 1 <= k <= top:
+        raise ConfigError(f"dimension {k} outside [1, {top}]")
+    return k
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args)
     out = Path(args.out)
@@ -260,7 +269,9 @@ def cmd_train(args) -> int:
     pcfg = _pipeline_config(args, cfg)
     own = _knobs(args, cfg, {"seed": ("seed", "train.seed"), "k": ("dim", "train.dim")})
     tcfg = _train_config(args, cfg, own.get("seed", TrainConfig.seed))
-    k = own.get("k", DEFAULT_DIM)
+    k = _check_dim(own.get("k", DEFAULT_DIM))
+    if args.n_train < 1:
+        raise ConfigError(f"n_train must be >= 1, got {args.n_train}")
 
     ds = load_dataset(args.data)
     train_set, _ = split(ds, args.n_train)
@@ -283,7 +294,7 @@ def cmd_classify(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    k = args.dim if args.dim is not None else net.shape.n_in
+    k = _check_dim(args.dim if args.dim is not None else net.shape.n_in)
 
     labels_file = _labels_path(Path(args.model))
     labels = None

@@ -102,6 +102,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # nan fails every comparison below, and inf passes most of them.
+        for name in ("lr0", "lr_inc", "lr_dec", "max_perf_inc", "mse_goal", "min_grad"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr0 <= 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
         if self.lr_inc <= 1:

@@ -1,11 +1,13 @@
 """Singular value decomposition from scratch, plus truncated feature vectors.
 
 The template matrix is factorized as A = U diag(s) V^T by one-sided Jacobi
-rotations: pairs of columns of a working copy of A are rotated until every
+rotations: pairs of columns of a working copy W of A are rotated until every
 pair is orthogonal, at which point the column norms are the singular values
 and the normalized columns form U.  Pairs are visited in a round-robin
-schedule so each sweep touches every pair exactly once and the disjoint
-pairs of one round can be rotated in a single vectorized step.
+schedule so each sweep touches every pair exactly once.  W sits on top of V
+in one array, so a round gathers the columns of its disjoint pairs once per
+side, rotates them all in one fixed-shape vectorized step (a pair that needs
+no rotation gets c = 1, s = 0 and stays as it is) and scatters them back.
 
 The classifier consumes only the leading singular values, which collapse a
 40x40 template into a vector of a few tens of numbers while preserving most
@@ -15,6 +17,7 @@ of its energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,8 +115,12 @@ class FeatureVector:
         object.__setattr__(self, "values", vals)
 
 
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds of disjoint column pairs covering every pair once per sweep."""
+@lru_cache(maxsize=8)
+def _round_robin_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of disjoint column pairs covering every pair once per sweep.
+
+    Cached per width, so the index arrays are shared and read-only.
+    """
     players = list(range(n))
     if n % 2:
         players.append(-1)
@@ -127,9 +134,11 @@ def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
                 ps.append(min(a, b))
                 qs.append(max(a, b))
         if ps:
-            rounds.append((np.array(ps), np.array(qs)))
+            pair = np.array([ps, qs])
+            pair.setflags(write=False)
+            rounds.append(tuple(pair))
         players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+    return tuple(rounds)
 
 
 def _fill_orthonormal(u: np.ndarray, col: int) -> np.ndarray:
@@ -161,65 +170,56 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     column is sign-fixed so its largest-magnitude entry is nonnegative, which
     makes the result deterministic and unique for almost every input.
     """
-    w = np.array(a.entries, dtype=np.float64)
-    n = w.shape[1]
-    v = np.eye(n)
-    rounds = _round_robin_pairs(n)
+    m, n = a.m, a.n
+    wv = np.vstack([a.entries, np.eye(n)])
 
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for ps, qs in rounds:
-            wp = w[:, ps]
-            wq = w[:, qs]
+        for ps, qs in _round_robin_pairs(n):
+            xp, xq = wv[:, ps], wv[:, qs]
+            wp, wq = xp[:m], xq[:m]
             app = np.einsum("ij,ij->j", wp, wp)
             aqq = np.einsum("ij,ij->j", wq, wq)
             apq = np.einsum("ij,ij->j", wp, wq)
             denom = np.sqrt(app * aqq)
-            live = denom > 0.0
-            off = np.zeros_like(apq)
-            off[live] = np.abs(apq[live]) / denom[live]
+            off = np.divide(np.abs(apq), denom, out=np.zeros_like(apq), where=denom > 0.0)
             rotate = off > JACOBI_TOL
             if not rotate.any():
                 continue
-            rp, rq = ps[rotate], qs[rotate]
-            tau = (aqq[rotate] - app[rotate]) / (2.0 * apq[rotate])
+            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros_like(apq), where=rotate)
             abs_tau = np.abs(tau)
             if abs_tau.max() > _TAU_MAX:
                 # tau * tau would overflow, and t rounds to 0 anyway: such a
                 # pair's column norms differ over 1e142-fold.  Leave it be.
-                keep = abs_tau <= _TAU_MAX
-                rp, rq, tau, abs_tau = rp[keep], rq[keep], tau[keep], abs_tau[keep]
-            rotated = rotated or rp.size > 0
-            t = np.where(
-                tau == 0.0,
-                1.0,
-                np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)),
-            )
+                rotate &= abs_tau <= _TAU_MAX
+                tau[~rotate] = 0.0
+            rotated = rotated or rotate.any()
+            # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
+            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            wp, wq = w[:, rp], w[:, rq]
-            w[:, rp] = c * wp - s * wq
-            w[:, rq] = s * wp + c * wq
-            vp, vq = v[:, rp], v[:, rq]
-            v[:, rp] = c * vp - s * vq
-            v[:, rq] = s * vp + c * vq
+            wv[:, ps] = c * xp - s * xq
+            wv[:, qs] = s * xp + c * xq
         if not rotated:
             # w and v are unchanged, so every later sweep would be the same.
             break
 
+    # w keeps the input's memory layout (Fortran order for wide input),
+    # because the order of the norm sums below follows it.
+    w, v = np.empty_like(a.entries), wv[m:]
+    w[...] = wv[:m]
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
     w = w[:, order]
     v = v[:, order]
 
+    # sigma descends, so the columns with a usable norm come first.
+    full = int(np.count_nonzero(sigma > sigma[0] * 1e-13))
     u = np.zeros_like(w)
-    cutoff = sigma[0] * 1e-13 if n else 0.0
-    for j in range(n):
-        if sigma[j] > cutoff:
-            u[:, j] = w[:, j] / sigma[j]
-        else:
-            u[:, j] = _fill_orthonormal(u, j)
+    u[:, :full] = w[:, :full] / sigma[:full]
+    for j in range(full, n):
+        u[:, j] = _fill_orthonormal(u, j)
 
     flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
     u[:, flip] *= -1.0

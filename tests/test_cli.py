@@ -327,21 +327,41 @@ class TestConfigFile:
             ("experiment", [], "experiment.dims =\n"),
             ("train", ["--lr-inc", "0.5"], ""),
             ("segment", [], "segmentation.threshold = 300\n"),
+            ("train", [], "train.lr0 = inf\n"),
+            ("train", [], "train.lr_inc = nan\n"),
+            ("train", [], "train.lr_dec = nan\n"),
+            ("train", [], "train.max_perf_inc = inf\n"),
+            ("train", [], "train.mse_goal = nan\n"),
+            ("train", [], "train.min_grad = nan\n"),
+            ("train", ["--lr", "inf"], ""),
+            ("train", ["--n-train", "-1"], ""),
+            ("train", ["--n-train", "0"], ""),
+            ("train", ["--dim", "0"], ""),
+            ("train", ["--dim", "41"], ""),
+            ("classify", ["--dim", "0"], ""),
         ],
-        ids=["empty_dims", "lr_inc_below_1", "threshold_300"],
+        ids=[
+            "empty_dims", "lr_inc_below_1", "threshold_300", "lr0_inf",
+            "lr_inc_nan", "lr_dec_nan", "max_perf_inc_inf", "mse_goal_nan",
+            "min_grad_nan", "lr_flag_inf", "n_train_negative", "n_train_0",
+            "train_dim_0", "train_dim_41", "classify_dim_0",
+        ],
     )
     def test_out_of_range_knob_is_config_error(
-        self, eye_dir, tmp_path, capsys, command, flags, config
+        self, eye_dir, model_file, tmp_path, monkeypatch, capsys, command, flags, config
     ):
         cfg = tmp_path / "range.cfg"
         cfg.write_text(config)
-        inputs = (
-            [str(sorted(eye_dir.glob("*.pgm"))[0])]
-            if command == "segment"
-            else ["--data", str(eye_dir), "--out", str(tmp_path / "out")]
-        )
+        img = str(sorted(eye_dir.glob("*.pgm"))[0])
+        inputs = {
+            "segment": [img],
+            "classify": ["--model", str(model_file), img],
+        }.get(command, ["--data", str(eye_dir), "--out", str(tmp_path / "out")])
+        # Rejected before any image is read.
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
         code = cli.main([command, "--config", str(cfg), *flags, *inputs])
-        assert code == 2
+        assert (code, reads) == (2, [])
         assert "error:" in capsys.readouterr().err
 
     def test_comments_and_blank_lines(self):
@@ -377,12 +397,16 @@ class TestHelp:
         assert "--config" in capsys.readouterr().out
 
 
+def load_perfbench(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / name
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_perfbench("tracing.py")
 
 
 class TestBenchmarkHooks:
@@ -417,3 +441,24 @@ class TestBenchmarkHooks:
         [label] = [s for s in tracer.spans if s["name"] == "segmentation.label"]
         mask = threshold_dark(read_pgm_file(img))
         assert label["attrs"]["regions"] == len(label_components_8(mask))
+
+    def test_classify_records_every_layer(self, eye_dir, model_file, capsys):
+        # One image with a rank-deficient template, one without.
+        tracing, bench = load_tracing(), load_perfbench("run.py")
+        images = [eye_dir / "class001_sample05.pgm", eye_dir / "class001_sample01.pgm"]
+        tracer = tracing.Tracer()
+        tracer.install((cli, harness, segmentation, synth))
+        try:
+            with tracer.request("classify", kind="op"):
+                argv = ["classify", "--model", str(model_file), *map(str, images)]
+                assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert tracing.missing_layers(tracer.spans, bench.Classify.op_layers) == []
+        spans = [s for s in tracer.spans if s["name"] == "svd.factorize"]
+        deficient = []
+        for path in images:
+            s = harness._template_spectrum(path, harness.PipelineConfig())
+            deficient.append(bool(s[-1] <= s[0] * 1e-13))
+        assert [s["attrs"]["rank_deficient"] for s in spans] == deficient == [True, False]

@@ -8,16 +8,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eig_oracle import jacobi_eigh, singular_values_via_gram
+from irisvd import harness
+from irisvd.image_io import GrayImage, write_pgm_file
 from irisvd.svd import (
     FeatureVector,
     Matrix,
     SvdFactorization,
     svd_factorize,
 )
-from irisvd.synth import EyeSpec, generate_eye
+from irisvd.synth import EyeSpec, class_seed_for, generate_eye
 from irisvd.template import extract_iris_basis
+from svd_reference import reference_factorize
 
 
 class TestEigOracle:
@@ -191,6 +197,86 @@ class TestSvdFactorize:
         f = svd_factorize(a)
         check_invariants(a, f)
         assert f.s == pytest.approx([1.0, 1e-155], abs=4 * np.finfo(float).eps)
+
+
+def assert_same_as_reference(a: Matrix) -> SvdFactorization:
+    got, want = svd_factorize(a), reference_factorize(a)
+    assert got.s.tobytes() == want.s.tobytes()
+    # array_equal ignores the sign of a zero, the one thing allowed to differ.
+    assert np.array_equal(got.u, want.u)
+    assert np.array_equal(got.v, want.v)
+    return got
+
+
+def _rank_deficient(s: np.ndarray) -> bool:
+    return bool(s[-1] <= s[0] * 1e-13)
+
+
+def _uniform(seed: int, *shape: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-1, 1, shape)
+
+
+_COLUMNS = _uniform(9, 10, 5)
+
+
+class TestSameBitsAsReference:
+    """The stacked W-over-V round reproduces the reference loop exactly."""
+
+    def test_templates(self):
+        # Classes 3 and 4 of synth seed 0: 6 of these 14 templates are
+        # rank-deficient, so the stand-in U columns are covered too.
+        deficient = 0
+        for cls in (3, 4):
+            for sample in range(1, 8):
+                spec = EyeSpec(class_seed=class_seed_for(0, cls), sample_seed=sample)
+                a = Matrix(extract_iris_basis(*generate_eye(spec)).values)
+                deficient += _rank_deficient(assert_same_as_reference(a).s)
+        assert deficient == 6
+
+    def test_tight_crop_template(self, tmp_path):
+        img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
+        path = tmp_path / "crop.pgm"
+        write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
+        img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
+        a = Matrix(extract_iris_basis(img, pupil, bounds).values)
+        assert _rank_deficient(assert_same_as_reference(a).s)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.zeros((5, 3)),
+            np.column_stack([_COLUMNS, _COLUMNS[:, 2]]),
+            np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]]),
+            _uniform(20, 40, 40),
+            _uniform(21, 40, 5) @ _uniform(22, 5, 40),
+            _uniform(23, 7, 3),
+            _uniform(24, 11, 5),
+            _uniform(25, 9, 9),
+            _uniform(26, 3, 8),
+            _uniform(27, 4, 2) @ _uniform(28, 2, 9),
+        ],
+        ids=[
+            "zero", "duplicate_column", "vanishing_pair", "random_40x40",
+            "rank5_40x40", "odd_7x3", "odd_11x5", "square_9x9", "wide_3x8",
+            "wide_rank2_4x9",
+        ],
+    )
+    def test_matrices(self, raw):
+        assert_same_as_reference(Matrix(raw))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 7), st.integers(1, 7)),
+            elements=st.one_of(
+                st.integers(-2, 2).map(float),
+                st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            ),
+        )
+    )
+    def test_small_matrices(self, raw):
+        assert_same_as_reference(Matrix(raw))
 
 
 class TestFeatureVector:
