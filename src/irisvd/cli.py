@@ -131,7 +131,12 @@ def load_config(args) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{p}: line {line}: not UTF-8 text") from None
+    return parse_config_text(text)
 
 
 # Keyword of a config object or call -> (flag attribute, config key).

@@ -443,7 +443,12 @@ def _parse_matrix(lines, idx: int, name: str, shape: tuple[int, int]):
 
 
 def load_model(path) -> Mlp:
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ModelFormatError(f"{path}: line {line}: non-ASCII byte") from None
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     if not lines or lines[0] != MODEL_HEADER:
         raise ModelFormatError(f"line 1: expected header {MODEL_HEADER!r}")

@@ -221,6 +221,9 @@ def read_pgm(data: bytes) -> GrayImage:
             raise PgmParseError(
                 f"trailing data after {count} pixels at byte offset {tok.pos}"
             )
+        if values.min(initial=0) < 0:
+            bad = int(np.argmax(values < 0))
+            raise PgmParseError(f"pixel {bad} has negative value {int(values[bad])}")
         arr = values
 
     if arr.max(initial=0) > maxval:

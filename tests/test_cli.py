@@ -364,6 +364,15 @@ class TestConfigFile:
         assert (code, reads) == (2, [])
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_config_is_config_error(self, eye_dir, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# knobs\nsegmentation.threshold = 7\xff0\n")
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
+        code = cli.main(["experiment", "--data", str(eye_dir), "--config", str(cfg)])
+        assert (code, reads) == (2, [])
+        assert f"error: {cfg}: line 2: " in capsys.readouterr().err
+
     def test_comments_and_blank_lines(self):
         parsed = cli.parse_config_text(
             "# full comment\n\nsegmentation.threshold = 64  # inline\n"

@@ -663,6 +663,18 @@ class TestModelFile:
             ebp.load_model(path)
 
 
+    def test_non_ascii_byte_rejected(self, tmp_path):
+        net = ebp.init(ebp.MlpShape(2, 4, 2), seed=1)
+        path = tmp_path / "model.txt"
+        ebp.save_model(path, net)
+        data = path.read_bytes()
+        i = data.index(b"w1\n") + 3
+        path.write_bytes(data[:i] + b"\xff" + data[i:])
+        line = data[:i].count(b"\n") + 1
+        with pytest.raises(ebp.ModelFormatError, match=f"model.txt: line {line}: "):
+            ebp.load_model(path)
+
+
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -117,6 +117,10 @@ class TestReadPgm:
         with pytest.raises(PgmParseError, match="exceeding maxval"):
             read_pgm(b"P2 1 1 100 101")
 
+    def test_negative_ascii_pixel(self):
+        with pytest.raises(PgmParseError, match="pixel 1 has negative value -6"):
+            read_pgm(b"P2 2 1 255 3 -6")
+
 
 class TestWritePgm:
     def test_minimal_binary(self):
