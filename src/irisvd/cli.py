@@ -6,7 +6,11 @@ configuration.  A `--config` file of `key = value` lines (dotted keys,
 `#` comments) slots between the defaults and the flags: defaults < config
 < flags.  Machine-parseable results go to stdout, diagnostics to stderr.
 
-Exit codes: 0 full success, 1 runtime failures, 2 usage or format errors.
+Exit codes: 0 full success; 1 runtime failures; 2 usage errors and a bad
+config file or value, dataset directory or model file.  In `segment` and
+`classify` each image fails on its own: a malformed PGM or an eye that cannot
+be segmented is named on stderr with its stage, the rest are processed, and
+the run exits 1.
 """
 
 from __future__ import annotations
@@ -281,7 +285,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     train_set, _ = split(ds, args.n_train)
     files = [p for cls in ds.classes for p in train_set[cls]]
-    spectra = {p: pipeline_features(p, pcfg, k).values for p in files}
+    spectra = {p: pipeline_features(p, pcfg, k) for p in files}
     trained, report = fit_classifier(spectra, ds.classes, train_set, k, tcfg)
 
     out = Path(args.out)
@@ -313,13 +317,13 @@ def cmd_classify(args) -> int:
     for name in args.images:
         path = Path(name)
         try:
-            fv = pipeline_features(path, pcfg, k)
+            x = pipeline_features(path, pcfg, k)
         except (PipelineStageError, ValueError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
             continue
         try:
-            y = forward(net, apply_scaling(net.feature_scaling, fv.values))
+            y = forward(net, apply_scaling(net.feature_scaling, x))
         except ValueError as exc:
             print(
                 f"error: feature dimension {k} does not fit the model: {exc}",
@@ -337,6 +341,8 @@ def cmd_experiment(args) -> int:
     pcfg = _pipeline_config(args, cfg)
     tcfg = _train_config(args, cfg, seed=TrainConfig.seed)
     grid = _config(GridConfig, **_knobs(args, cfg, GRID_KNOBS))
+    for k in grid.dims:
+        _check_dim(k)
 
     ds = load_dataset(args.data)
     result = run_experiment(ds, grid, tcfg, pcfg)

@@ -43,7 +43,7 @@ from .segmentation import (
     pupil_geometry,
     threshold_dark,
 )
-from .svd import FeatureVector, Matrix, svd_factorize
+from .svd import Matrix, svd_factorize
 from .template import extract_iris_basis
 
 MIN_SAMPLES_PER_CLASS = 3
@@ -75,10 +75,6 @@ class Dataset:
 
     classes: tuple[str, ...]
     samples: dict[str, tuple[Path, ...]]
-    image_shape: tuple[int, int]
-
-    def paths_for(self, class_id: str) -> tuple[Path, ...]:
-        return self.samples[class_id]
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ def load_dataset(directory) -> Dataset:
                     f"image {f} is {img.width}x{img.height}, "
                     f"expected {shape[0]}x{shape[1]}"
                 )
-    return Dataset(classes=tuple(kept), samples=kept, image_shape=shape)
+    return Dataset(classes=tuple(kept), samples=kept)
 
 
 def split(
@@ -240,11 +236,11 @@ def _template_spectrum(path, cfg: PipelineConfig) -> np.ndarray:
     """All singular values of one image's iris-basis template, descending."""
     img, _, pupil, bounds = segment_eye(path, cfg)
     tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
-    return _stage("svd", path, svd_factorize, Matrix(entries=tpl.values)).s
+    return _stage("svd", path, svd_factorize, Matrix(entries=tpl)).s
 
 
-def pipeline_features(path, cfg: PipelineConfig, k: int) -> FeatureVector:
-    """Run the full image-to-feature pipeline on one PGM file.
+def pipeline_features(path, cfg: PipelineConfig, k: int) -> np.ndarray:
+    """The first k singular values of one PGM file's template, descending.
 
     Any stage failure surfaces as PipelineStageError naming the stage and
     the offending file.
@@ -252,7 +248,7 @@ def pipeline_features(path, cfg: PipelineConfig, k: int) -> FeatureVector:
     spectrum = _template_spectrum(path, cfg)
     if not 1 <= k <= spectrum.size:
         raise ValueError(f"dimension {k} outside [1, {spectrum.size}]")
-    return FeatureVector(k=k, values=spectrum[:k])
+    return spectrum[:k]
 
 
 def cell_seed(base_seed: int, n_classes: int, dim: int) -> int:

@@ -59,16 +59,6 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, values) -> "GrayImage":
-        """Build from a row-major flat sequence of width*height intensities."""
-        arr = np.asarray(list(values), dtype=np.int64)
-        if arr.size != width * height:
-            raise ValueError(
-                f"expected {width * height} pixels for {width}x{height}, got {arr.size}"
-            )
-        return cls(arr.reshape(height, width))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
 
@@ -96,9 +86,6 @@ class BinaryImage:
     @property
     def height(self) -> int:
         return self.bits.shape[0]
-
-    def foreground_count(self) -> int:
-        return int(self.bits.sum())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryImage) and np.array_equal(self.bits, other.bits)
@@ -269,21 +256,16 @@ def write_pgm_file(path, img: GrayImage, ascii: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # Raster transforms
 
-def block_downsample(img: GrayImage, block: int) -> GrayImage:
-    """Average block x block tiles into single pixels (rounded mean).
+def block_downsample(pixels: np.ndarray, block: int) -> np.ndarray:
+    """Rounded means of the block x block tiles of a 2-D array.
 
-    Output size is (floor(w/block), floor(h/block)); trailing rows/columns
-    that do not fill a whole tile are discarded.
+    Output shape is (h // block, w // block); trailing rows/columns that do
+    not fill a whole tile are discarded.
     """
     if block < 1:
         raise ValueError(f"block must be a positive integer, got {block}")
-    if img.width < block or img.height < block:
-        raise ValueError(
-            f"image {img.width}x{img.height} smaller than block {block}"
-        )
-    out_h = img.height // block
-    out_w = img.width // block
-    trimmed = img.pixels[: out_h * block, : out_w * block].astype(np.float64)
-    tiles = trimmed.reshape(out_h, block, out_w, block)
-    means = tiles.mean(axis=(1, 3))
-    return GrayImage(round_half_away(means))
+    out_h, out_w = pixels.shape[0] // block, pixels.shape[1] // block
+    if not out_h or not out_w:
+        raise ValueError(f"array {pixels.shape} smaller than block {block}")
+    tiles = pixels[: out_h * block, : out_w * block].astype(np.float64)
+    return round_half_away(tiles.reshape(out_h, block, out_w, block).mean(axis=(1, 3)))

@@ -49,28 +49,6 @@ class EdgeConfig:
 
 
 @dataclass(frozen=True)
-class ScanProfile:
-    """Contrast-stretched intensities of one image row."""
-
-    y: int
-    intensities: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.intensities, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError(f"profile must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("profile must not be empty")
-        if arr.min() < 0 or arr.max() > 255:
-            raise ValueError("profile values must lie in [0, 255]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "intensities", arr)
-
-    def __len__(self) -> int:
-        return int(self.intensities.size)
-
-
-@dataclass(frozen=True)
 class IrisBounds:
     """Left and right iris/sclera boundary columns.
 
@@ -93,8 +71,8 @@ class IrisBounds:
             )
 
 
-def scanline(img: GrayImage, pupil: PupilGeometry) -> ScanProfile:
-    """Contrast-stretched profile of the row through the pupil center.
+def scanline(img: GrayImage, pupil: PupilGeometry) -> np.ndarray:
+    """Contrast-stretched int64 profile of the row through the pupil center.
 
     The stretch uses only this row's min and max, so the iris/sclera step
     spans as much of [0, 255] as the row allows.  A constant row has no
@@ -108,11 +86,8 @@ def scanline(img: GrayImage, pupil: PupilGeometry) -> ScanProfile:
     line = img.pixels[row].astype(np.float64)
     low, high = line.min(), line.max()
     if high <= low:
-        stretched = np.zeros(line.shape, dtype=np.int64)
-    else:
-        scaled = (line - low) * 255.0 / (high - low)
-        stretched = np.clip(round_half_away(scaled), 0, 255)
-    return ScanProfile(y=row, intensities=stretched)
+        return np.zeros(line.shape, dtype=np.int64)
+    return np.clip(round_half_away((line - low) * 255.0 / (high - low)), 0, 255)
 
 
 def _pupil_edge_column(pupil: PupilGeometry, direction: str) -> int:
@@ -124,7 +99,7 @@ def _pupil_edge_column(pupil: PupilGeometry, direction: str) -> int:
 
 
 def detect_edge(
-    profile: ScanProfile,
+    profile: np.ndarray,
     pupil: PupilGeometry,
     direction: str,
     window: int = DEFAULT_EDGE_WINDOW,
@@ -138,27 +113,23 @@ def detect_edge(
     `jump`.  The windows exclude c itself, so an isolated bright pixel is
     its own candidate and fails confirmation instead of polluting a window.
     Candidates start one full window outside the pupil so the pupil/iris
-    transition never lands in the inward window.
+    transition never lands in the inward window.  EdgeConfig checks window
+    and jump where they enter.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if jump <= 0:
-        raise ValueError(f"jump must be positive, got {jump}")
     edge = _pupil_edge_column(pupil, direction)
-    vals = profile.intensities
-    width = vals.size
+    width = profile.size
     step = 1 if direction == "right" else -1
 
     c = edge + step * (window + 1)
     while window <= c <= width - 1 - window:
-        rise = int(vals[c]) - int(vals[c - step])
+        rise = int(profile[c]) - int(profile[c - step])
         if rise >= jump:
             if direction == "right":
-                outward = vals[c + 1 : c + window + 1]
-                inward = vals[c - window : c]
+                outward = profile[c + 1 : c + window + 1]
+                inward = profile[c - window : c]
             else:
-                outward = vals[c - window : c]
-                inward = vals[c + 1 : c + window + 1]
+                outward = profile[c - window : c]
+                inward = profile[c + 1 : c + window + 1]
             if float(outward.mean()) - float(inward.mean()) >= jump:
                 return c
         c += step

@@ -56,9 +56,10 @@ class PupilGeometry:
 
 
 def threshold_dark(img: GrayImage, t: int = DEFAULT_DARK_THRESHOLD) -> BinaryImage:
-    """Mark pixels with intensity <= t as foreground 1 (dark goes to 1)."""
-    if not 0 <= t <= 255:
-        raise ValueError(f"threshold must be in [0, 255], got {t}")
+    """Mark pixels with intensity <= t as foreground 1 (dark goes to 1).
+
+    PipelineConfig checks t where it enters.
+    """
     return BinaryImage((img.pixels <= t).astype(np.uint8))
 
 

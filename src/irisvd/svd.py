@@ -1,4 +1,4 @@
-"""Singular value decomposition from scratch, plus truncated feature vectors.
+"""Singular value decomposition from scratch.
 
 The template matrix is factorized as A = U diag(s) V^T by one-sided Jacobi
 rotations: pairs of columns of a working copy W of A are rotated until every
@@ -16,7 +16,7 @@ of its energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +32,6 @@ class Matrix:
     """Real matrix oriented tall: m >= n, transposing on intake if needed."""
 
     entries: np.ndarray
-    transposed: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -42,13 +41,11 @@ class Matrix:
             raise ValueError("matrix must not be empty")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
-        flipped = arr.shape[0] < arr.shape[1]
-        if flipped:
+        if arr.shape[0] < arr.shape[1]:
             arr = arr.T
         arr = np.array(arr, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "transposed", flipped)
 
     @property
     def m(self) -> int:
@@ -67,52 +64,12 @@ class SvdFactorization:
     s: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self) -> None:
-        u = np.array(self.u, dtype=np.float64, copy=True)
-        s = np.array(self.s, dtype=np.float64, copy=True)
-        v = np.array(self.v, dtype=np.float64, copy=True)
-        if u.ndim != 2 or s.ndim != 1 or v.ndim != 2:
-            raise ValueError("u must be 2-D, s 1-D, v 2-D")
-        n = s.size
-        if u.shape[1] != n or v.shape != (n, n) or u.shape[0] < n:
-            raise ValueError(
-                f"inconsistent shapes: u {u.shape}, s ({n},), v {v.shape}"
-            )
-        if s.size and s.min() < 0.0:
-            raise ValueError("singular values must be nonnegative")
-        if np.any(np.diff(s) > 0.0):
-            raise ValueError("singular values must be descending")
-        for a in (u, s, v):
-            a.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
-
     @property
     def n(self) -> int:
         return int(self.s.size)
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """The first k singular values, descending."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.ndim != 1 or vals.size != self.k or self.k < 1:
-            raise ValueError(
-                f"expected {self.k} values in a 1-D vector, got shape {vals.shape}"
-            )
-        if vals.min() < 0.0 or np.any(np.diff(vals) > 0.0):
-            raise ValueError("values must be nonnegative and descending")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
 
 @lru_cache(maxsize=8)

@@ -339,12 +339,13 @@ class TestConfigFile:
             ("train", ["--dim", "0"], ""),
             ("train", ["--dim", "41"], ""),
             ("classify", ["--dim", "0"], ""),
+            ("experiment", ["--dims", "3,41"], ""),
         ],
         ids=[
             "empty_dims", "lr_inc_below_1", "threshold_300", "lr0_inf",
             "lr_inc_nan", "lr_dec_nan", "max_perf_inc_inf", "mse_goal_nan",
             "min_grad_nan", "lr_flag_inf", "n_train_negative", "n_train_0",
-            "train_dim_0", "train_dim_41", "classify_dim_0",
+            "train_dim_0", "train_dim_41", "classify_dim_0", "experiment_dim_41",
         ],
     )
     def test_out_of_range_knob_is_config_error(

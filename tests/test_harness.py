@@ -30,10 +30,9 @@ class TestLoadDataset:
         assert len(dataset.classes) == 6
         assert list(dataset.classes) == sorted(dataset.classes)
         for cls in dataset.classes:
-            files = dataset.paths_for(cls)
+            files = dataset.samples[cls]
             assert len(files) == 7
             assert [f.name for f in files] == sorted(f.name for f in files)
-        assert dataset.image_shape == (320, 280)
 
     def test_subdirectory_layout(self, eye_dir, tmp_path):
         root = tmp_path / "byclass"
@@ -46,7 +45,7 @@ class TestLoadDataset:
                 shutil.copy(f, sub / f.name)
         ds = harness.load_dataset(root)
         assert ds.classes == ("alpha", "beta")
-        assert len(ds.paths_for("alpha")) == 4
+        assert len(ds.samples["alpha"]) == 4
 
     def test_small_class_skipped_with_warning(self, eye_dir, tmp_path):
         root = tmp_path / "mixed"
@@ -110,13 +109,13 @@ class TestSplit:
         train_set, test_set = harness.split(dataset)
         for cls in dataset.classes:
             both = train_set[cls] + test_set[cls]
-            assert both == dataset.paths_for(cls)
+            assert both == dataset.samples[cls]
             assert len(set(both)) == len(both)
 
     def test_train_gets_lexicographic_head(self, dataset):
         train_set, _ = harness.split(dataset)
         cls = dataset.classes[0]
-        expected = dataset.paths_for(cls)[:5]
+        expected = dataset.samples[cls][:5]
         assert train_set[cls] == expected
 
     def test_deterministic(self, dataset):
@@ -133,28 +132,26 @@ class TestSplit:
 
 class TestPipelineFeatures:
     def test_feature_vector_contract(self, dataset):
-        path = dataset.paths_for(dataset.classes[0])[0]
-        fv = harness.pipeline_features(path, harness.PipelineConfig(), k=10)
-        assert fv.k == 10
-        assert fv.values.shape == (10,)
-        assert fv.values[0] >= fv.values[-1] >= 0.0
+        path = dataset.samples[dataset.classes[0]][0]
+        x = harness.pipeline_features(path, harness.PipelineConfig(), k=10)
+        assert x.shape == (10,)
+        assert x[0] >= x[-1] >= 0.0
 
     def test_deterministic(self, dataset):
-        path = dataset.paths_for(dataset.classes[0])[0]
+        path = dataset.samples[dataset.classes[0]][0]
         cfg = harness.PipelineConfig()
         a = harness.pipeline_features(path, cfg, k=7)
         b = harness.pipeline_features(path, cfg, k=7)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_prefix_of_full_spectrum(self, dataset):
         # The cache stores the full spectrum; every dimension must be a
         # bit-identical prefix of it.
-        path = dataset.paths_for(dataset.classes[0])[0]
+        path = dataset.samples[dataset.classes[0]][0]
         cfg = harness.PipelineConfig()
         spectrum = harness._template_spectrum(path, cfg)
         for k in (3, 10, 20, 40):
-            fv = harness.pipeline_features(path, cfg, k)
-            assert np.array_equal(fv.values, spectrum[:k])
+            assert np.array_equal(harness.pipeline_features(path, cfg, k), spectrum[:k])
 
     def test_blank_image_fails_at_segmentation(self, tmp_path):
         blank = GrayImage(pixels=np.full((280, 320), 255, dtype=np.uint8))
@@ -188,7 +185,7 @@ class TestPipelineFeatures:
         assert spectrum[-1] < 1e-13 * spectrum[0]
 
     def test_dimension_bounds(self, dataset):
-        path = dataset.paths_for(dataset.classes[0])[0]
+        path = dataset.samples[dataset.classes[0]][0]
         with pytest.raises(ValueError):
             harness.pipeline_features(path, harness.PipelineConfig(), k=0)
         with pytest.raises(ValueError):

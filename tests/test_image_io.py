@@ -23,16 +23,6 @@ def random_image(rng, max_side=40):
 
 
 class TestGrayImage:
-    def test_from_flat_row_major(self):
-        img = GrayImage.from_flat(2, 2, [0, 128, 255, 64])
-        assert img.width == 2 and img.height == 2
-        assert img.pixels[0, 1] == 128
-        assert img.pixels[1, 0] == 255
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            GrayImage.from_flat(2, 2, [1, 2, 3])
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GrayImage(np.array([[0, 256]]))
@@ -55,14 +45,11 @@ class TestBinaryImage:
         with pytest.raises(ValueError):
             BinaryImage(np.array([[0, value]]))
 
-    def test_foreground_count(self):
-        assert BinaryImage(np.array([[1, 0], [1, 1]])).foreground_count() == 3
-
 
 class TestReadPgm:
     def test_ascii_literal(self):
         img = read_pgm(b"P2 2 2 255 0 128 255 64")
-        assert img == GrayImage.from_flat(2, 2, [0, 128, 255, 64])
+        assert img == GrayImage(np.array([[0, 128], [255, 64]]))
 
     def test_binary_320x280(self):
         payload = bytes(range(256)) * 350  # 89600 bytes
@@ -89,7 +76,7 @@ class TestReadPgm:
     def test_ascii_count_bound_is_tight(self):
         # Single-byte pixels and separators: the shortest legal payload
         # parses, and one pixel fewer fails the bound.
-        assert read_pgm(b"P2 3 1 9 1 2 3") == GrayImage.from_flat(3, 1, [1, 2, 3])
+        assert read_pgm(b"P2 3 1 9 1 2 3") == GrayImage(np.array([[1, 2, 3]]))
         with pytest.raises(PgmParseError, match="truncated pixel data"):
             read_pgm(b"P2 3 1 9 1 2")
 
@@ -103,7 +90,7 @@ class TestReadPgm:
 
     def test_header_comments(self):
         img = read_pgm(b"P2\n# a comment\n2 1 # another\n255\n7 9\n")
-        assert img == GrayImage.from_flat(2, 1, [7, 9])
+        assert img == GrayImage(np.array([[7, 9]]))
 
     def test_non_integer_token(self):
         with pytest.raises(PgmParseError, match="expected integer width"):
@@ -124,11 +111,11 @@ class TestReadPgm:
 
 class TestWritePgm:
     def test_minimal_binary(self):
-        img = GrayImage.from_flat(1, 1, [0])
+        img = GrayImage(np.zeros((1, 1)))
         assert write_pgm(img) == b"P5\n1 1\n255\n\x00"
 
     def test_ascii_round_trip_example(self):
-        img = GrayImage.from_flat(2, 2, [0, 128, 255, 64])
+        img = GrayImage(np.array([[0, 128], [255, 64]]))
         data = write_pgm(img, ascii=True)
         assert data.startswith(b"P2")
         assert read_pgm(data) == img
@@ -160,40 +147,35 @@ class TestRoundHalfAway:
 
 class TestBlockDownsample:
     def test_constant_tile(self):
-        img = GrayImage(np.full((3, 3), 90))
-        out = block_downsample(img, 3)
-        assert out == GrayImage.from_flat(1, 1, [90])
+        out = block_downsample(np.full((3, 3), 90, dtype=np.uint8), 3)
+        assert out.tolist() == [[90]]
 
     def test_mean_of_zero_to_eight(self):
-        img = GrayImage.from_flat(3, 3, range(9))
-        out = block_downsample(img, 3)
-        assert out == GrayImage.from_flat(1, 1, [4])
+        out = block_downsample(np.arange(9, dtype=np.uint8).reshape(3, 3), 3)
+        assert out.tolist() == [[4]]
 
     def test_120_to_40(self):
         rng = np.random.default_rng(7)
-        img = GrayImage(rng.integers(0, 256, size=(120, 120)))
-        out = block_downsample(img, 3)
-        assert (out.width, out.height) == (40, 40)
+        out = block_downsample(rng.integers(0, 256, size=(120, 120)), 3)
+        assert out.shape == (40, 40)
 
     def test_discards_partial_tiles(self):
-        img = GrayImage(np.zeros((7, 8), dtype=np.uint8))
-        out = block_downsample(img, 3)
-        assert (out.width, out.height) == (2, 2)
+        out = block_downsample(np.zeros((7, 8), dtype=np.uint8), 3)
+        assert out.shape == (2, 2)
 
     def test_zero_block_rejected(self):
-        img = GrayImage(np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            block_downsample(img, 0)
+            block_downsample(np.zeros((3, 3), dtype=np.uint8), 0)
 
     def test_output_within_tile_bounds(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            img = random_image(rng, max_side=30)
-            block = int(rng.integers(1, min(img.width, img.height) + 1))
-            out = block_downsample(img, block)
-            for by in range(out.height):
-                for bx in range(out.width):
-                    tile = img.pixels[
+            pixels = random_image(rng, max_side=30).pixels
+            block = int(rng.integers(1, min(pixels.shape) + 1))
+            out = block_downsample(pixels, block)
+            for by in range(out.shape[0]):
+                for bx in range(out.shape[1]):
+                    tile = pixels[
                         by * block : (by + 1) * block, bx * block : (bx + 1) * block
                     ]
-                    assert tile.min() <= out.pixels[by, bx] <= tile.max()
+                    assert tile.min() <= out[by, bx] <= tile.max()

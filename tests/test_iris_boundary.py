@@ -10,7 +10,6 @@ from irisvd.iris_boundary import (
     EdgeConfig,
     EdgeNotFoundError,
     IrisBounds,
-    ScanProfile,
     bounds_csv_line,
     detect_edge,
     iris_bounds,
@@ -29,7 +28,7 @@ def make_pupil(x_cp=120.0, y_cp=10.0, r_x=30.0, r_y=8.0, area=2827):
 def step_profile(edge=180, low=100, high=200, width=WIDTH):
     vals = np.full(width, low, dtype=np.int64)
     vals[edge:] = high
-    return ScanProfile(y=10, intensities=vals)
+    return vals
 
 
 def banded_image(
@@ -49,19 +48,6 @@ def banded_image(
     return GrayImage(pixels=np.tile(row, (height, 1)))
 
 
-class TestScanProfile:
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            ScanProfile(y=0, intensities=np.zeros((2, 3)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            ScanProfile(y=0, intensities=np.array([0, 300]))
-
-    def test_len(self):
-        assert len(ScanProfile(y=0, intensities=np.arange(17))) == 17
-
-
 class TestEdgeConfig:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError, match="window"):
@@ -78,11 +64,14 @@ class TestEdgeConfig:
 
 class TestScanline:
     def test_row_is_rounded_center(self):
-        img = banded_image()
-        prof = scanline(img, make_pupil(y_cp=10.4))
-        assert prof.y == 10
-        prof = scanline(img, make_pupil(y_cp=10.5))
-        assert prof.y == 11
+        pixels = np.array(banded_image().pixels)
+        pixels[11, :40] = 0  # only row 11 has this dark band
+        img = GrayImage(pixels=pixels)
+
+        def row_at(y_cp):
+            return scanline(img, make_pupil(y_cp=y_cp)).tolist()
+
+        assert row_at(10.4) == row_at(10.0) != row_at(11.0) == row_at(10.5)
 
     def test_out_of_bounds_center(self):
         img = banded_image()
@@ -92,15 +81,14 @@ class TestScanline:
     def test_flat_row_degenerates_to_zero(self):
         img = GrayImage(pixels=np.full((5, 9), 77.0))
         prof = scanline(img, make_pupil(x_cp=4.0, y_cp=2.0, r_x=1.0, r_y=1.0))
-        assert np.all(prof.intensities == 0)
+        assert np.all(prof == 0)
 
     def test_three_band_row_keeps_steps(self):
         row = np.concatenate(
             [np.full(20, 10.0), np.full(20, 120.0), np.full(20, 240.0)]
         )
         img = GrayImage(pixels=np.tile(row, (3, 1)))
-        prof = scanline(img, make_pupil(x_cp=10.0, y_cp=1.0, r_x=3.0, r_y=3.0))
-        vals = prof.intensities
+        vals = scanline(img, make_pupil(x_cp=10.0, y_cp=1.0, r_x=3.0, r_y=3.0))
         assert vals[0] == 0 and vals[59] == 255
         # stretched mid band: (120 - 10) * 255 / 230 rounded
         assert vals[30] == 122
@@ -111,8 +99,8 @@ class TestScanline:
     def test_min_maps_to_zero_max_to_255(self):
         img = banded_image()
         prof = scanline(img, make_pupil())
-        assert prof.intensities.min() == 0
-        assert prof.intensities.max() == 255
+        assert prof.min() == 0
+        assert prof.max() == 255
 
 
 class TestDetectEdge:
@@ -121,27 +109,25 @@ class TestDetectEdge:
         assert detect_edge(prof, make_pupil(), "right", window=5, jump=40) == 180
 
     def test_isolated_bright_pixel_is_rejected(self):
-        vals = np.array(step_profile().intensities)
-        vals[160] = 255
-        prof = ScanProfile(y=10, intensities=vals)
+        prof = step_profile()
+        prof[160] = 255
         assert detect_edge(prof, make_pupil(), "right", window=5, jump=40) == 180
 
     def test_flat_profile_raises(self):
-        prof = ScanProfile(y=10, intensities=np.full(WIDTH, 99))
+        prof = np.full(WIDTH, 99)
         with pytest.raises(EdgeNotFoundError):
             detect_edge(prof, make_pupil(), "right")
 
     def test_monotone_gentle_ramp_raises(self):
         # rises everywhere, but never by `jump` within one pixel
-        prof = ScanProfile(y=10, intensities=np.arange(WIDTH) * 255 // (WIDTH - 1))
+        prof = np.arange(WIDTH) * 255 // (WIDTH - 1)
         with pytest.raises(EdgeNotFoundError):
             detect_edge(prof, make_pupil(), "right", window=5, jump=40)
 
     def test_left_direction_mirror(self):
         vals = np.full(WIDTH, 100, dtype=np.int64)
         vals[: 60 + 1] = 200
-        prof = ScanProfile(y=10, intensities=vals)
-        assert detect_edge(prof, make_pupil(), "left", window=5, jump=40) == 60
+        assert detect_edge(vals, make_pupil(), "left", window=5, jump=40) == 60
 
     def test_bad_direction(self):
         with pytest.raises(ValueError, match="direction"):
@@ -152,10 +138,9 @@ class TestDetectEdge:
         pupil = make_pupil()
         for _ in range(50):
             vals = rng.integers(0, 256, WIDTH)
-            prof = ScanProfile(y=10, intensities=vals)
             for direction in ("left", "right"):
                 try:
-                    col = detect_edge(prof, pupil, direction, window=3, jump=25)
+                    col = detect_edge(vals, pupil, direction, window=3, jump=25)
                 except EdgeNotFoundError:
                     continue
                 if direction == "right":
@@ -170,9 +155,7 @@ class TestDetectEdge:
         base[151:180] = 100
         base[180:] = 200
         pupil = make_pupil()
-        ref = detect_edge(
-            ScanProfile(y=10, intensities=base), pupil, "right", window, 40
-        )
+        ref = detect_edge(base, pupil, "right", window, 40)
         assert ref == 180
         rng = np.random.default_rng(11)
         first = 150 + window + 1
@@ -181,9 +164,7 @@ class TestDetectEdge:
             mag = int(rng.integers(100, 256))
             vals = np.array(base)
             vals[pos] = mag
-            got = detect_edge(
-                ScanProfile(y=10, intensities=vals), pupil, "right", window, 40
-            )
+            got = detect_edge(vals, pupil, "right", window, 40)
             assert got == ref, f"spike {mag} at {pos} moved edge to {got}"
 
 

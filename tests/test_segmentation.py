@@ -8,6 +8,7 @@ separate.
 import numpy as np
 import pytest
 
+from irisvd.harness import PipelineConfig
 from irisvd.image_io import BinaryImage, GrayImage, round_half_away
 from irisvd.segmentation import (
     PupilNotFoundError,
@@ -101,18 +102,18 @@ class TestFloodFillOracle:
 
 class TestThresholdDark:
     def test_boundary_value_is_foreground(self):
-        img = GrayImage.from_flat(2, 1, [70, 71])
+        img = GrayImage(np.array([[70, 71]]))
         out = threshold_dark(img, 70)
         assert out.bits[0, 0] == 1
         assert out.bits[0, 1] == 0
 
     def test_bright_pixel_excluded(self):
-        img = GrayImage.from_flat(1, 1, [255])
+        img = GrayImage(np.array([[255]]))
         assert threshold_dark(img, 70).bits[0, 0] == 0
 
     def test_all_zero_image_all_foreground(self):
         img = GrayImage(np.zeros((4, 5), dtype=np.uint8))
-        assert threshold_dark(img, 70).foreground_count() == 20
+        assert threshold_dark(img, 70).bits.sum() == 20
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
@@ -122,9 +123,9 @@ class TestThresholdDark:
         assert np.array_equal(out.bits == 1, img.pixels <= t)
 
     def test_invalid_threshold(self):
-        img = GrayImage.from_flat(1, 1, [0])
-        with pytest.raises(ValueError):
-            threshold_dark(img, 256)
+        # Checked once, where the threshold enters: the pipeline config.
+        with pytest.raises(ValueError, match="threshold"):
+            PipelineConfig(threshold=256)
 
 
 class TestLabelComponents:
@@ -169,7 +170,7 @@ class TestLabelComponents:
         bits = (rng.random((40, 40)) < 0.4).astype(np.uint8)
         img = BinaryImage(bits)
         regions = label_components_8(img)
-        assert sum(r.area for r in regions) == img.foreground_count()
+        assert sum(r.area for r in regions) == bits.sum()
 
 
 class TestFilterSmallRegions:
@@ -183,7 +184,7 @@ class TestFilterSmallRegions:
         img = self._square(50)  # 2500 pixels exactly
         regions = label_components_8(img)
         out = filter_small_regions(regions, img, 2500)
-        assert out.foreground_count() == 2500
+        assert out.bits.sum() == 2500
 
     def test_area_2499_cleared(self):
         bits = np.zeros((54, 54), dtype=np.uint8)
@@ -191,12 +192,12 @@ class TestFilterSmallRegions:
         bits[2, 2] = 0  # 2499 pixels
         img = BinaryImage(bits)
         out = filter_small_regions(label_components_8(img), img, 2500)
-        assert out.foreground_count() == 0
+        assert out.bits.sum() == 0
 
     def test_empty_image(self):
         img = BinaryImage(np.zeros((3, 3), dtype=np.uint8))
         out = filter_small_regions([], img, 2500)
-        assert out.foreground_count() == 0
+        assert out.bits.sum() == 0
 
     def test_never_sets_bits(self):
         rng = np.random.default_rng(3)

@@ -15,12 +15,7 @@ from hypothesis.extra.numpy import arrays
 from eig_oracle import jacobi_eigh, singular_values_via_gram
 from irisvd import harness
 from irisvd.image_io import GrayImage, write_pgm_file
-from irisvd.svd import (
-    FeatureVector,
-    Matrix,
-    SvdFactorization,
-    svd_factorize,
-)
+from irisvd.svd import Matrix, SvdFactorization, svd_factorize
 from irisvd.synth import EyeSpec, class_seed_for, generate_eye
 from irisvd.template import extract_iris_basis
 from svd_reference import reference_factorize
@@ -77,11 +72,11 @@ class TestEigOracle:
 class TestMatrixIntake:
     def test_tall_kept(self):
         m = Matrix(np.zeros((5, 3)))
-        assert (m.m, m.n) == (5, 3) and not m.transposed
+        assert (m.m, m.n) == (5, 3)
 
     def test_wide_transposed(self):
         m = Matrix(np.arange(6.0).reshape(2, 3))
-        assert (m.m, m.n) == (3, 2) and m.transposed
+        assert (m.m, m.n) == (3, 2)
         assert m.entries[2, 1] == 5.0
 
     def test_rejects_nan(self):
@@ -186,9 +181,9 @@ class TestSvdFactorize:
     def test_template_spectrum(self):
         img, pupil, bounds = generate_eye(EyeSpec(class_seed=4, sample_seed=1))
         t = extract_iris_basis(img, pupil, bounds)
-        f = svd_factorize(Matrix(t.values))
+        f = svd_factorize(Matrix(t))
         assert f.n == 40
-        ref = singular_values_via_gram(t.values)
+        ref = singular_values_via_gram(t)
         assert np.max(np.abs(f.s - ref)) <= 1e-8 * max(1.0, f.s[0])
 
     def test_vanishing_column_pair_does_not_overflow(self):
@@ -229,7 +224,7 @@ class TestSameBitsAsReference:
         for cls in (3, 4):
             for sample in range(1, 8):
                 spec = EyeSpec(class_seed=class_seed_for(0, cls), sample_seed=sample)
-                a = Matrix(extract_iris_basis(*generate_eye(spec)).values)
+                a = Matrix(extract_iris_basis(*generate_eye(spec)))
                 deficient += _rank_deficient(assert_same_as_reference(a).s)
         assert deficient == 6
 
@@ -238,7 +233,7 @@ class TestSameBitsAsReference:
         path = tmp_path / "crop.pgm"
         write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
         img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
-        a = Matrix(extract_iris_basis(img, pupil, bounds).values)
+        a = Matrix(extract_iris_basis(img, pupil, bounds))
         assert _rank_deficient(assert_same_as_reference(a).s)
 
     @pytest.mark.parametrize(
@@ -281,12 +276,10 @@ class TestSameBitsAsReference:
 
 class TestFeatureVector:
     @pytest.mark.parametrize("k", [3, 10, 20, 40])
-    def test_template_dimensions(self, k):
-        img, pupil, bounds = generate_eye(EyeSpec(class_seed=2, sample_seed=3))
-        t = extract_iris_basis(img, pupil, bounds)
-        fv = FeatureVector(k=k, values=svd_factorize(Matrix(t.values)).s[:k])
-        assert fv.values.shape == (k,)
-
-    def test_rejects_ascending_values(self):
-        with pytest.raises(ValueError, match="descending"):
-            FeatureVector(k=2, values=np.array([1.0, 2.0]))
+    def test_template_dimensions(self, k, tmp_path):
+        img, _, _ = generate_eye(EyeSpec(class_seed=2, sample_seed=3))
+        path = tmp_path / "eye.pgm"
+        write_pgm_file(path, img)
+        x = harness.pipeline_features(path, harness.PipelineConfig(), k)
+        assert x.shape == (k,) and x.dtype == np.float64
+        assert np.all(np.diff(x) <= 0.0) and x[-1] >= 0.0

@@ -113,8 +113,7 @@ class TestGenerateEye:
 
     def test_scanline_minimum_inside_pupil(self):
         img, pupil, _ = generate_eye(EyeSpec(class_seed=9, sample_seed=4))
-        prof = scanline(img, pupil)
-        col = int(np.argmin(prof.intensities))
+        col = int(np.argmin(scanline(img, pupil)))
         assert pupil.x_cp - pupil.r_x <= col <= pupil.x_cp + pupil.r_x
 
     def test_detected_right_edge_near_nominal_radius(self):
