@@ -304,6 +304,8 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     k = _check_dim(args.dim if args.dim is not None else net.shape.n_in)
+    if k != net.shape.n_in:
+        raise ConfigError(f"dimension {k} does not fit a model with {net.shape.n_in} inputs")
 
     labels_file = _labels_path(Path(args.model))
     labels = None
@@ -322,14 +324,7 @@ def cmd_classify(args) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        try:
-            y = forward(net, apply_scaling(net.feature_scaling, x))
-        except ValueError as exc:
-            print(
-                f"error: feature dimension {k} does not fit the model: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+        y = forward(net, apply_scaling(net.feature_scaling, x))
         index = decode(y)
         label = labels[index] if labels and index < len(labels) else str(index)
         print(f"{path},{label},{float(y[index]):.4f}")

@@ -27,15 +27,15 @@ class TemplateExtractionError(Exception):
     """Raised when no usable iris strip exists on either side of the pupil."""
 
 
-def _fit_width(arr: np.ndarray) -> np.ndarray:
+def _fit_width(arr: np.ndarray, out_cols: int) -> np.ndarray:
     """Center-crop when too wide, replicate edge columns when too narrow."""
     width = arr.shape[1]
-    if width > TEMPLATE_COLS:
-        off = (width - TEMPLATE_COLS) // 2
-        return arr[:, off : off + TEMPLATE_COLS]
-    if width < TEMPLATE_COLS:
-        pad_left = (TEMPLATE_COLS - width) // 2
-        pad_right = TEMPLATE_COLS - width - pad_left
+    if width > out_cols:
+        off = (width - out_cols) // 2
+        return arr[:, off : off + out_cols]
+    if width < out_cols:
+        pad_left = (out_cols - width) // 2
+        pad_right = out_cols - width - pad_left
         return np.pad(arr, ((0, 0), (pad_left, pad_right)), mode="edge")
     return arr
 
@@ -67,4 +67,4 @@ def extract_iris_basis(img: GrayImage, pupil: PupilGeometry, bounds: IrisBounds)
 
     cols = np.clip(np.concatenate([left_cols, right_cols]), 0, img.width - 1)
     reduced = block_downsample(img.pixels[np.ix_(rows, cols)], TEMPLATE_BLOCK)
-    return _fit_width(reduced) / 255.0
+    return _fit_width(reduced, TEMPLATE_COLS) / 255.0

@@ -201,13 +201,16 @@ class TestClassify:
             assert label == want
             assert 0.0 < float(confidence) <= 1.0
 
-    def test_dimension_mismatch(self, eye_dir, model_file, capsys):
+    def test_dimension_mismatch(self, eye_dir, model_file, monkeypatch, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
         code = cli.main(
             ["classify", "--model", str(model_file), "--dim", "3", img]
         )
-        assert code == 2
-        assert "dimension" in capsys.readouterr().err
+        assert (code, reads) == (2, [])
+        out, err = capsys.readouterr()
+        assert out == "" and "dimension 3" in err
 
     def test_missing_model(self, eye_dir, tmp_path, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
