@@ -17,6 +17,12 @@ candidate step is one vector update.  Each epoch runs one forward pass, on
 the candidate; when the candidate is accepted its activations and error
 are kept and the next gradient is taken from them.  The arithmetic is the
 same as a step-by-step replay through backprop_gradient, bit for bit.
+
+An epoch allocates nothing: the activations, sigmoid scratch, error and
+its square, the deltas and the step live in one workspace allocated per
+train call, and every ufunc and matrix product writes into it with out=.
+forward and backprop_gradient run the same in-place kernels on buffers of
+their own.
 """
 
 from __future__ import annotations
@@ -162,11 +168,18 @@ class Gradient:
         )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overwrite z with its sigmoid; e is scratch of z's shape."""
     # exp only ever sees -|z| <= 0, so it cannot overflow; z >= 0 gives
-    # 1/(1+exp(-z)) and z < 0 gives exp(z)/(1+exp(z)).
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1+exp(-z)) and z < 0 gives exp(z)/(1+exp(z)).  The numerator is
+    # max(e, step(z)) with step 1 on z >= 0 (where e <= 1) and 0 below, so
+    # it is 1 or e as the branch asks, and nan stays nan.
+    np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    np.heaviside(z, 1.0, out=z)
+    np.maximum(e, z, out=z)
+    np.add(e, 1.0, out=e)
+    return np.divide(z, e, out=z)
 
 
 def init(shape: MlpShape, seed: int) -> Mlp:
@@ -235,8 +248,8 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input shape {arr.shape} does not match n_in={net.shape.n_in}"
         )
-    h = _sigmoid(net.w1 @ arr + net.b1)
-    return _sigmoid(net.w2 @ h + net.b2)
+    h = _sigmoid(net.w1 @ arr + net.b1, np.empty(net.shape.n_hidden))
+    return _sigmoid(net.w2 @ h + net.b2, np.empty(net.shape.n_out))
 
 
 def _as_batch(net: Mlp, batch) -> tuple[np.ndarray, np.ndarray]:
@@ -255,23 +268,55 @@ def _as_batch(net: Mlp, batch) -> tuple[np.ndarray, np.ndarray]:
     return xs, ts
 
 
-def _evaluate(w1, b1, w2, b2, xs, ts):
-    """Forward pass over the batch: hidden, output, error and MSE."""
-    h = _sigmoid(xs @ w1.T + b1)
-    y = _sigmoid(h @ w2.T + b2)
-    err = y - ts
-    return h, y, err, float(np.mean(err * err))
+class _Workspace:
+    """Every array one epoch writes, for one batch size and network shape.
+
+    h and y hold the activations and err the output error of the last
+    forward pass; the rest is scratch the kernels overwrite.  The sigmoid
+    scratch of a layer holds its 1 - activation factor in the backward pass.
+    """
+
+    def __init__(self, n_samples: int, shape: MlpShape):
+        hidden = (n_samples, shape.n_hidden)
+        out = (n_samples, shape.n_out)
+        self.h, self.h_e, self.delta1 = np.empty((3, *hidden))
+        self.y, self.y_e, self.delta2, self.err, self.sq = np.empty((5, *out))
 
 
-def _backward(w2, xs, h, y, err, grad) -> None:
-    """Write the MSE gradient of one forward pass into grad's four views."""
+def _evaluate(w1, b1, w2, b2, xs, ts, ws: _Workspace) -> float:
+    """Forward pass over the batch into ws.h, ws.y and ws.err; returns the MSE."""
+    h, y, sq = ws.h, ws.y, ws.sq
+    # np.dot runs the same BLAS product as np.matmul with less dispatch.
+    np.dot(xs, w1.T, out=h)
+    np.add(h, b1, out=h)
+    _sigmoid(h, ws.h_e)
+    np.dot(h, w2.T, out=y)
+    np.add(y, b2, out=y)
+    _sigmoid(y, ws.y_e)
+    np.subtract(y, ts, out=ws.err)
+    np.multiply(ws.err, ws.err, out=sq)
+    # np.mean is this same sum divided by the count.
+    return float(np.add.reduce(sq, axis=None)) / sq.size
+
+
+def _backward(w2, xs, ws: _Workspace, grad) -> None:
+    """Write the MSE gradient of the pass in ws into grad's four views."""
     gw1, gb1, gw2, gb2 = grad
-    delta2 = (2.0 / err.size) * err * y * (1.0 - y)
-    np.matmul(delta2.T, h, out=gw2)
-    np.sum(delta2, axis=0, out=gb2)
-    delta1 = (delta2 @ w2) * h * (1.0 - h)
-    np.matmul(delta1.T, xs, out=gw1)
-    np.sum(delta1, axis=0, out=gb1)
+    h, y, err = ws.h, ws.y, ws.err
+    delta2, rest2 = ws.delta2, ws.y_e
+    np.multiply(err, 2.0 / err.size, out=delta2)
+    np.multiply(delta2, y, out=delta2)
+    np.subtract(1.0, y, out=rest2)
+    np.multiply(delta2, rest2, out=delta2)
+    np.dot(delta2.T, h, out=gw2)
+    np.add.reduce(delta2, axis=0, out=gb2)
+    delta1, rest1 = ws.delta1, ws.h_e
+    np.dot(delta2, w2, out=delta1)
+    np.multiply(delta1, h, out=delta1)
+    np.subtract(1.0, h, out=rest1)
+    np.multiply(delta1, rest1, out=delta1)
+    np.dot(delta1.T, xs, out=gw1)
+    np.add.reduce(delta1, axis=0, out=gb1)
 
 
 def _param_views(flat: np.ndarray, shape: MlpShape):
@@ -292,9 +337,10 @@ def backprop_gradient(net: Mlp, batch) -> tuple[Gradient, float]:
     duplicating every pair leaves both the error and the gradient unchanged.
     """
     xs, ts = _as_batch(net, batch)
-    h, y, err, mse = _evaluate(net.w1, net.b1, net.w2, net.b2, xs, ts)
+    ws = _Workspace(len(xs), net.shape)
+    mse = _evaluate(net.w1, net.b1, net.w2, net.b2, xs, ts, ws)
     grad = _param_views(np.empty_like(_flat_params(net)), net.shape)
-    _backward(net.w2, xs, h, y, err, grad)
+    _backward(net.w2, xs, ws, grad)
     return Gradient(*grad), mse
 
 
@@ -308,20 +354,24 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
     epoch cap, or a vanishing gradient, whichever comes first.
 
     The weights and the candidate live in two flat vectors of the same
-    layout; an accepted candidate swaps places with the weights.  Each epoch runs one
-    forward pass, on the candidate.  An accepted candidate's activations
-    give the next gradient; after a rejection the weights, and so the
-    gradient, are unchanged.
+    layout; an accepted candidate swaps places with the weights.  Each epoch
+    runs one forward pass, on the candidate.  An accepted candidate's
+    activations give the next gradient; after a rejection the weights, and
+    so the gradient and its norm, are unchanged.  Every array an epoch
+    writes is allocated once per call, in one _Workspace.
     """
     xs, ts = _as_batch(net, train_set)
+    ws = _Workspace(len(xs), net.shape)
     theta = _flat_params(net)
     cand = np.empty_like(theta)
     grad = np.empty_like(theta)
+    step = np.empty_like(theta)
     params = _param_views(theta, net.shape)
     cand_params = _param_views(cand, net.shape)
     grad_views = _param_views(grad, net.shape)
-    h, y, err, cur = _evaluate(*params, xs, ts)
-    _backward(params[2], xs, h, y, err, grad_views)
+    cur = _evaluate(*params, xs, ts, ws)
+    _backward(params[2], xs, ws, grad_views)
+    grad_norm = np.maximum.reduce(np.abs(grad, out=step), axis=None)
     lr = cfg.lr0
 
     mse_trace: list[float] = []
@@ -336,12 +386,13 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
         if len(mse_trace) >= cfg.max_epochs:
             reason = "max_epochs"
             break
-        if np.max(np.abs(grad)) < cfg.min_grad:
+        if grad_norm < cfg.min_grad:
             reason = "gradient_floor"
             break
 
-        np.subtract(theta, lr * grad, out=cand)
-        h, y, err, cand_mse = _evaluate(*cand_params, xs, ts)
+        np.multiply(grad, lr, out=step)
+        np.subtract(theta, step, out=cand)
+        cand_mse = _evaluate(*cand_params, xs, ts, ws)
         lr_trace.append(lr)
         if cand_mse > cur * cfg.max_perf_inc:
             accepted.append(False)
@@ -351,7 +402,8 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
         else:
             theta, cand = cand, theta
             params, cand_params = cand_params, params
-            _backward(params[2], xs, h, y, err, grad_views)
+            _backward(params[2], xs, ws, grad_views)
+            grad_norm = np.maximum.reduce(np.abs(grad, out=step), axis=None)
             accepted.append(True)
             better = cand_mse < cur
             improved.append(better)

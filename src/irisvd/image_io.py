@@ -7,7 +7,9 @@ round-half-away-from-zero so that expected values can be reproduced by hand.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +143,54 @@ class _Tokenizer:
             ) from None
 
 
+_COMMENT = re.compile(rb"#[^\n\r]*")
+_TOKEN = re.compile(rb"\S+")
+
+
+def _p2_pixels(data: bytes, start: int, count: int) -> np.ndarray:
+    """The count whitespace-separated integers after byte offset start.
+
+    One split over the body, with each '#' comment blanked in place first so
+    that byte offsets still hold; offsets are looked up only to report an
+    error.
+    """
+    body = data[start:]
+    if b"#" in body:
+        body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
+    tokens = body.split(None, count)
+
+    def where(i: int) -> int:
+        return start + next(islice(_TOKEN.finditer(body), i, None)).start()
+
+    try:
+        values = list(map(int, tokens[:count]))
+    except ValueError:
+        for i, token in enumerate(tokens[:count]):
+            try:
+                int(token)
+            except ValueError:
+                raise PgmParseError(
+                    f"expected integer pixel {i} at byte offset {where(i)}, "
+                    f"got {token!r}"
+                ) from None
+    if len(values) < count:
+        raise PgmParseError(
+            f"truncated header: expected pixel {len(values)} at byte offset {len(data)}"
+        )
+    if len(tokens) > count:
+        raise PgmParseError(
+            f"trailing data after {count} pixels at byte offset {where(count)}"
+        )
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise PgmParseError(
+            f"pixel {i} value {tokens[i]!r} at byte offset {where(i)} does not fit "
+            f"64 bits"
+        ) from None
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Parse P5 (binary) or P2 (ASCII) PGM bytes into a GrayImage.
 
@@ -200,14 +250,7 @@ def read_pgm(data: bytes) -> GrayImage:
                 f"{len(data) - tok.pos} bytes after byte offset {tok.pos} "
                 f"hold at most {room}"
             )
-        values = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            values[i] = tok.next_int(f"pixel {i}")
-        tok.skip_separators()
-        if tok.pos < len(data):
-            raise PgmParseError(
-                f"trailing data after {count} pixels at byte offset {tok.pos}"
-            )
+        values = _p2_pixels(data, tok.pos, count)
         if values.min(initial=0) < 0:
             bad = int(np.argmax(values < 0))
             raise PgmParseError(f"pixel {bad} has negative value {int(values[bad])}")

@@ -455,6 +455,27 @@ class TestBenchmarkHooks:
         mask = threshold_dark(read_pgm_file(img))
         assert label["attrs"]["regions"] == len(label_components_8(mask))
 
+    def test_experiment_records_every_layer(self, eye_dir, capsys):
+        # ebp.us_per_epoch divides the ebp.train spans by their epochs attr,
+        # so each span's attrs must agree with its row of the report.
+        tracing, bench = load_tracing(), load_perfbench("run.py")
+        tracer = tracing.Tracer()
+        tracer.install((cli, harness, segmentation, synth))
+        argv = ["experiment", "--data", str(eye_dir), "--classes", "2,3",
+                "--dims", "3,10", "--epochs", "300"]
+        try:
+            with tracer.request("experiment", kind="op"):
+                assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert tracing.missing_layers(tracer.spans, bench.Grid.op_layers) == []
+        trains = [s["attrs"] for s in tracer.spans if s["name"] == "ebp.train"]
+        got = [(t["epochs"], t["capped"]) for t in trains]
+        want = [(int(r[3]), r[4] == "max_epochs") for r in rows]
+        assert got == want
+        assert len(want) == 4 and 0 < sum(c for _, c in want) < 4
+
     def test_classify_records_every_layer(self, eye_dir, model_file, capsys):
         # One image with a rank-deficient template, one without.
         tracing, bench = load_tracing(), load_perfbench("run.py")

@@ -3,10 +3,14 @@ first, then backprop is held to it, then the adaptive-rate schedule is
 audited epoch by epoch."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ebp_reference import reference_gradient_norm, reference_train
 from irisvd import ebp
 
 
@@ -147,6 +151,14 @@ def masked_sigmoid(z):
     return out
 
 
+def sigmoid_of(z):
+    """The in-place kernel run on a copy of z, with scratch of its own."""
+    buf = np.array(z, dtype=np.float64)
+    got = ebp._sigmoid(buf, np.empty_like(buf))
+    assert got is buf
+    return got
+
+
 class TestSigmoid:
     def test_matches_masked_form_bit_for_bit(self):
         special = np.array(
@@ -154,7 +166,7 @@ class TestSigmoid:
         )
         rng = np.random.default_rng(17)
         for z in (special, rng.normal(0.0, 20.0, (45, 80))):
-            got, want = ebp._sigmoid(z), masked_sigmoid(z)
+            got, want = sigmoid_of(z), masked_sigmoid(z)
             assert np.array_equal(got, want, equal_nan=True)
             # Equal values may still differ in the sign of a zero.
             num = ~np.isnan(want)
@@ -162,7 +174,7 @@ class TestSigmoid:
 
     def test_saturates_without_warnings(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            y = ebp._sigmoid(np.array([-1e308, -20.0, 20.0, 1e308]))
+            y = sigmoid_of([-1e308, -20.0, 20.0, 1e308])
         assert y[0] == 0.0 and y[-1] == 1.0
         assert 0.0 < y[1] < y[2] < 1.0
 
@@ -362,6 +374,30 @@ def replay(start, batch, cfg):
     return net, report
 
 
+# (shape, data, config overrides, stop reason, steps rejected)
+REPLAY_CASES = [
+    ((3, 6, 3), "toy", {"max_epochs": 120}, "max_epochs", False),
+    ((10, 20, 5), "random", {"max_epochs": 150}, "max_epochs", True),
+    ((40, 80, 9), "random", {"max_epochs": 150}, "max_epochs", True),
+    ((3, 6, 3), "toy", {"lr0": 500.0, "max_epochs": 60}, "max_epochs", True),
+    ((10, 20, 5), "random", {"min_grad": 2e-3}, "gradient_floor", False),
+]
+REPLAY_IDS = ["toy-3x6x3", "random-10x20x5", "random-40x80x9",
+              "rejected-steps-to-cap", "gradient-floor"]
+
+
+def replay_setup(case):
+    """Start network, batch and config of one REPLAY_CASES entry."""
+    dims, data, overrides, _, _ = case
+    shape = ebp.MlpShape(*dims)
+    start = random_net(shape, seed=2)
+    if data == "toy":
+        batch, _ = toy_problem()
+    else:
+        batch = random_batch(shape, n_samples=5 * shape.n_out, seed=4)
+    return start, batch, ebp.TrainConfig(mse_goal=1e-12, **overrides)
+
+
 class TestTraining:
     def test_traces_line_up(self):
         shape = ebp.MlpShape(3, 6, 3)
@@ -437,31 +473,13 @@ class TestTraining:
             if report.improved[t]:
                 assert report.mse_trace[t] < prev
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            # (shape, data, config overrides, stop reason, steps rejected)
-            ((3, 6, 3), "toy", {"max_epochs": 120}, "max_epochs", False),
-            ((10, 20, 5), "random", {"max_epochs": 150}, "max_epochs", True),
-            ((40, 80, 9), "random", {"max_epochs": 150}, "max_epochs", True),
-            ((3, 6, 3), "toy", {"lr0": 500.0, "max_epochs": 60}, "max_epochs", True),
-            ((10, 20, 5), "random", {"min_grad": 2e-3}, "gradient_floor", False),
-        ],
-        ids=["toy-3x6x3", "random-10x20x5", "random-40x80x9",
-             "rejected-steps-to-cap", "gradient-floor"],
-    )
+    @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
     def test_replay_reproduces_weights(self, case):
         # Re-run the published update rule step by step using only the
         # public gradient op; the final weights and every trace must match
         # bit for bit.
-        dims, data, overrides, reason, rejects = case
-        shape = ebp.MlpShape(*dims)
-        start = random_net(shape, seed=2)
-        if data == "toy":
-            batch, _ = toy_problem()
-        else:
-            batch = random_batch(shape, n_samples=5 * shape.n_out, seed=4)
-        cfg = ebp.TrainConfig(mse_goal=1e-12, **overrides)
+        start, batch, cfg = replay_setup(case)
+        _, _, _, reason, rejects = case
         trained, report = ebp.train(start, batch, cfg)
 
         net, want = replay(start, batch, cfg)
@@ -521,6 +539,84 @@ class TestTraining:
         predictions = [ebp.decode(ebp.forward(trained, x)) for x, _ in batch]
         assert predictions == labels
         assert report.final_mse < 0.01
+
+
+def assert_same_training(got, want):
+    (net, report), (ref_net, ref_report) = got, want
+    assert report == ref_report
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(net, name), getattr(ref_net, name)), name
+
+
+class TestAgainstReference:
+    """train against the loop it replaced (tests/ebp_reference.py), bit for
+    bit: the kernels it shares with backprop_gradient cannot drift unseen."""
+
+    @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
+    def test_replay_cases(self, case):
+        start, batch, cfg = replay_setup(case)
+        assert_same_training(
+            ebp.train(start, batch, cfg), reference_train(start, batch, cfg)
+        )
+
+    @pytest.mark.parametrize("n_out", [3, 5, 7, 9])
+    @pytest.mark.parametrize("k", [3, 10, 20, 40])
+    def test_grid_shapes(self, k, n_out):
+        # The grid's networks: k inputs, 2k hidden, one output per class,
+        # five training samples per class.
+        shape = ebp.MlpShape(k, ebp.default_hidden(k), n_out)
+        start = ebp.init(shape, seed=k * 10 + n_out)
+        batch = random_batch(shape, n_samples=5 * n_out, seed=n_out)
+        cfg = ebp.TrainConfig(max_epochs=150)
+        got = ebp.train(start, batch, cfg)
+        assert got[1].stop_reason == "max_epochs"
+        assert_same_training(got, reference_train(start, batch, cfg))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property(self, data):
+        shape = ebp.MlpShape(
+            data.draw(st.integers(1, 4), label="n_in"),
+            data.draw(st.integers(1, 6), label="n_hidden"),
+            data.draw(st.integers(1, 4), label="n_out"),
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        # Inputs of +-800 saturate the sigmoid; lr0 near 500 forces rejections.
+        scale = data.draw(st.sampled_from([1.0, 800.0]), label="scale")
+        lr0 = data.draw(st.one_of(st.just(500.0), st.floats(0.01, 500.0)), label="lr0")
+        rng = np.random.default_rng(seed)
+        n_samples = data.draw(st.integers(1, 8), label="n_samples")
+        xs = rng.uniform(-scale, scale, (n_samples, shape.n_in))
+        labels = rng.integers(0, shape.n_out, n_samples)
+        batch = [
+            (x, ebp.encode_target(int(c), shape.n_out)) for x, c in zip(xs, labels)
+        ]
+        start = ebp.init(shape, seed)
+        cfg = ebp.TrainConfig(lr0=lr0, max_epochs=data.draw(st.integers(1, 40)))
+
+        stop = data.draw(
+            st.sampled_from(["max_epochs", "goal_met", "gradient_floor"]), label="stop"
+        )
+        if stop != "max_epochs":
+            # Place the stop inside a run the capped reference has made.
+            _, capped = reference_train(start, batch, cfg)
+            assume(capped.epochs_run > 0)
+            j = data.draw(st.integers(0, capped.epochs_run - 1), label="stop_epoch")
+            if stop == "goal_met":
+                assume(capped.mse_trace[j] > 0.0)
+                cfg = replace(cfg, mse_goal=capped.mse_trace[j])
+            else:
+                at_j = start
+                if j:
+                    at_j, _ = reference_train(start, batch, replace(cfg, max_epochs=j))
+                norm = reference_gradient_norm(at_j, batch)
+                assume(math.isfinite(norm))
+                cfg = replace(cfg, min_grad=float(np.nextafter(norm, np.inf)))
+
+        got = ebp.train(start, batch, cfg)
+        assert_same_training(got, reference_train(start, batch, cfg))
+        if stop != "max_epochs":
+            assert got[1].stop_reason == stop
 
 
 class TestDecodeEncode:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irisvd.image_io import (
     BinaryImage,
@@ -14,6 +16,7 @@ from irisvd.image_io import (
     round_half_away,
     write_pgm,
 )
+from pgm_reference import reference_read_pgm
 
 
 def random_image(rng, max_side=40):
@@ -107,6 +110,100 @@ class TestReadPgm:
     def test_negative_ascii_pixel(self):
         with pytest.raises(PgmParseError, match="pixel 1 has negative value -6"):
             read_pgm(b"P2 2 1 255 3 -6")
+
+
+def outcome(reader, data):
+    """What a reader makes of data: its pixels, or its error type and message."""
+    try:
+        return ("ok", reader(data).pixels.tolist())
+    except (PgmParseError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_reads_like_reference(data):
+    got, want = outcome(read_pgm, data), outcome(reference_read_pgm, data)
+    if want[0] == "OverflowError":
+        # The per-pixel loop let a pixel beyond 64 bits escape untyped, and
+        # stopped there before any later fault in the body.
+        assert got[0] == "PgmParseError"
+    else:
+        assert got == want
+
+
+# Bytes a P2 body gives a meaning to, besides any byte.
+_P2_SPECIAL = b"0123456789 \t\n\r\x0b\x0c#-+_x"
+
+
+@st.composite
+def p2_bytes(draw):
+    """A small P2 file, maybe with comments, after up to three byte edits."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pixels = draw(st.lists(st.integers(0, 255), min_size=w * h, max_size=w * h))
+    out = bytearray(write_pgm(GrayImage(np.array(pixels).reshape(h, w)), ascii=True))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(out)))
+        out[at:at] = draw(st.sampled_from([b"#c\n", b"# x 1\r", b"#", b" #9#\n"]))
+    for _ in range(draw(st.integers(0, 3))):
+        if len(out) <= 2:
+            break
+        at = draw(st.integers(2, len(out) - 1))  # the magic stays
+        byte = draw(st.one_of(st.sampled_from(_P2_SPECIAL), st.integers(0, 255)))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        if op == "replace":
+            out[at] = byte
+        elif op == "insert":
+            out.insert(at, byte)
+        elif op == "delete":
+            del out[at]
+        else:
+            del out[at:]
+    return bytes(out)
+
+
+class TestP2AgainstReference:
+    """The one-pass P2 body scan against the per-pixel loop it replaced
+    (tests/pgm_reference.py): same pixels, same errors and byte offsets."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P2 2 2 255 0 128 255 64",
+            b"P2 3 1 9 1 2 3",
+            b"P2 3 1 9 1 2",
+            b"P2\n4000 4000\n255\n7\n",
+            b"P2\n# a comment\n2 1 # another\n255\n7 9\n",
+            b"P2 ab 2 255 0 0",
+            b"P2 1 1 100 101",
+            b"P2 2 1 255 3 -6",
+            b"P2 3 1 255 1#c\n2 3",
+            b"P2 3 1 255#c\r1 2 3 # end",
+            b"P2 3 1 255 1 # 2 3\n",
+            b"P2 3 1 255 1 2 3 4",
+            b"P2 3 1 255 1 2 3 # c\n 4 5",
+            b"P2 3 1 255 1 2x 3",
+            b"P2 3 1 255 1 2 3\x00",
+            b"P2 3 1 255 1 \xff 3",
+            b"P2 3 1 255 +1 0_2 003\x0b\x0c",
+            b"P2 3 1 255 1 -0 -7 -300",
+            b"P2 3 1 255 99999999999999999999 -1 x",
+            b"P2 2 1 255 1 -99999999999999999999",
+            b"P2 2 1 255 1 99999999999999999999",
+            b"P2 2 1 255 1 " + b"9" * 5000,
+            b"P2 2 2 255 1 2 3",
+        ],
+    )
+    def test_cases(self, data):
+        assert_reads_like_reference(data)
+
+    def test_written_eyes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            assert_reads_like_reference(write_pgm(random_image(rng), ascii=True))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(p2_bytes())
+    def test_mutated_bytes(self, data):
+        assert_reads_like_reference(data)
 
 
 class TestWritePgm:
