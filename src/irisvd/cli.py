@@ -7,10 +7,10 @@ configuration.  A `--config` file of `key = value` lines (dotted keys,
 < flags.  Machine-parseable results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 full success; 1 runtime failures; 2 usage errors and a bad
-config file or value, dataset directory or model file.  In `segment` and
-`classify` each image fails on its own: a malformed PGM or an eye that cannot
-be segmented is named on stderr with its stage, the rest are processed, and
-the run exits 1.
+config file or value, dataset directory or model file (or its `.labels`
+sidecar).  In `segment` and `classify` each image fails on its own: a
+malformed PGM or an eye that cannot be segmented is named on stderr with its
+stage, the rest are processed, and the run exits 1.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .ebp import TrainConfig, apply_scaling, decode, forward, load_model, save_model
+from .ebp import (
+    ModelFormatError, TrainConfig, apply_scaling, decode, forward, load_model, save_model
+)
 from .harness import (
     DEFAULT_N_TRAIN,
     DatasetError,
     GridConfig,
     PipelineConfig,
     PipelineStageError,
+    _template_spectrum,
     emit_report,
     fit_classifier,
     load_dataset,
-    pipeline_features,
     run_experiment,
     segment_eye,
     split,
@@ -128,6 +130,15 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+def _read_utf8(path: Path, error: type[Exception]) -> str:
+    """path's text; undecodable bytes raise error naming the file and line."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def load_config(args) -> dict:
     path = getattr(args, "config", None)
     if path is None:
@@ -135,12 +146,7 @@ def load_config(args) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{p}: line {line}: not UTF-8 text") from None
-    return parse_config_text(text)
+    return parse_config_text(_read_utf8(p, ConfigError))
 
 
 # Keyword of a config object or call -> (flag attribute, config key).
@@ -231,17 +237,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _mask_to_gray(bits: np.ndarray) -> GrayImage:
-    return GrayImage(pixels=np.where(bits == 1, 0, 255).astype(np.uint8))
-
-
 def _dump_stages(args, path: Path, min_area: int, img, mask, pupil, bounds) -> None:
     filtered = filter_small_regions(label_components_8(mask), mask, min_area)
     out_dir = Path(args.out) if args.out else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = (
-        ("threshold", _mask_to_gray(mask.bits)),
-        ("filtered", _mask_to_gray(filtered.bits)),
+        ("threshold", GrayImage(np.where(mask, 0, 255))),
+        ("filtered", GrayImage(np.where(filtered, 0, 255))),
         ("bounds", mark_bounds(img, pupil, bounds)),
     )
     for name, stage_img in stages:
@@ -285,7 +287,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     train_set, _ = split(ds, args.n_train)
     files = [p for cls in ds.classes for p in train_set[cls]]
-    spectra = {p: pipeline_features(p, pcfg, k) for p in files}
+    spectra = {p: _template_spectrum(p, pcfg) for p in files}
     trained, report = fit_classifier(spectra, ds.classes, train_set, k, tcfg)
 
     out = Path(args.out)
@@ -298,8 +300,13 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     cfg = load_config(args)
     pcfg = _pipeline_config(args, cfg)
+    labels_file = _labels_path(Path(args.model))
+    labels = None
     try:
         net = load_model(args.model)
+        if labels_file.is_file():
+            labels = _read_utf8(labels_file, ModelFormatError).splitlines()
+            labels = [ln for ln in labels if ln]
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -307,20 +314,13 @@ def cmd_classify(args) -> int:
     if k != net.shape.n_in:
         raise ConfigError(f"dimension {k} does not fit a model with {net.shape.n_in} inputs")
 
-    labels_file = _labels_path(Path(args.model))
-    labels = None
-    if labels_file.is_file():
-        labels = [
-            ln for ln in labels_file.read_text(encoding="utf-8").splitlines() if ln
-        ]
-
     print(CLASSIFY_HEADER)
     failures = 0
     for name in args.images:
         path = Path(name)
         try:
-            x = pipeline_features(path, pcfg, k)
-        except (PipelineStageError, ValueError) as exc:
+            x = _template_spectrum(path, pcfg)[:k]
+        except PipelineStageError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
             continue

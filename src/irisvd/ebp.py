@@ -144,15 +144,6 @@ class TrainReport:
     accepted: tuple[bool, ...]
     improved: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if self.stop_reason not in ("goal_met", "max_epochs", "gradient_floor"):
-            raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
-        n = self.epochs_run
-        if not (len(self.mse_trace) == len(self.lr_trace) == n):
-            raise ValueError("trace lengths must equal epochs_run")
-        if not (len(self.accepted) == len(self.improved) == n):
-            raise ValueError("flag lengths must equal epochs_run")
-
 
 @dataclass(frozen=True, eq=False)
 class Gradient:
@@ -206,8 +197,6 @@ def init(shape: MlpShape, seed: int) -> Mlp:
 def fit_scaling(features: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Per-dimension (min, max) over a training feature matrix (rows = samples)."""
     arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"need a nonempty 2-D feature matrix, got {arr.shape}")
     return tuple(
         (float(lo), float(hi)) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))
     )
@@ -224,11 +213,6 @@ def apply_scaling(
     arr = np.asarray(x, dtype=np.float64)
     lows = np.array([lo for lo, _ in scaling])
     highs = np.array([hi for _, hi in scaling])
-    if arr.shape[-1] != lows.size:
-        raise ValueError(
-            f"feature dimension {arr.shape[-1]} does not match scaling "
-            f"of {lows.size}"
-        )
     span = highs - lows
     safe = np.where(span > 0.0, span, 1.0)
     out = (arr - lows) / safe
@@ -244,10 +228,6 @@ def attach_scaling(
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Output vector for one already-scaled input."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (net.shape.n_in,):
-        raise ValueError(
-            f"input shape {arr.shape} does not match n_in={net.shape.n_in}"
-        )
     h = _sigmoid(net.w1 @ arr + net.b1, np.empty(net.shape.n_hidden))
     return _sigmoid(net.w2 @ h + net.b2, np.empty(net.shape.n_out))
 
@@ -435,10 +415,7 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
 
 def decode(y: np.ndarray) -> int:
     """Index of the largest output; ties go to the lowest index."""
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"need a nonempty 1-D vector, got shape {arr.shape}")
-    return int(np.argmax(arr))
+    return int(np.argmax(y))
 
 
 def encode_target(class_index: int, n_out: int) -> np.ndarray:

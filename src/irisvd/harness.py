@@ -34,7 +34,7 @@ from .ebp import (
     init,
     train,
 )
-from .image_io import BinaryImage, GrayImage, read_pgm_file
+from .image_io import GrayImage, read_pgm_file
 from .iris_boundary import EdgeConfig, IrisBounds, iris_bounds
 from .segmentation import (
     DEFAULT_DARK_THRESHOLD,
@@ -218,12 +218,12 @@ def _stage(name: str, path, fn, *args):
 
 def segment_eye(
     path, cfg: PipelineConfig
-) -> tuple[GrayImage, BinaryImage, PupilGeometry, IrisBounds]:
+) -> tuple[GrayImage, np.ndarray, PupilGeometry, IrisBounds]:
     """Read one eye image and locate its pupil and iris bounds.
 
-    Returns the image, its dark-pixel mask, the pupil and the bounds.  Any
-    stage failure surfaces as PipelineStageError naming the stage and the
-    file.
+    Returns the image, its bool dark-pixel mask, the pupil and the bounds.
+    Any stage failure surfaces as PipelineStageError naming the stage and
+    the file.
     """
     img = _stage("read", path, read_pgm_file, path)
     mask = _stage("threshold", path, threshold_dark, img, cfg.threshold)
@@ -233,22 +233,14 @@ def segment_eye(
 
 
 def _template_spectrum(path, cfg: PipelineConfig) -> np.ndarray:
-    """All singular values of one image's iris-basis template, descending."""
+    """All singular values of one image's iris-basis template, descending.
+
+    A template is 40x40, so there are 40 values; callers take the first k,
+    which the CLI checks before any image is read.
+    """
     img, _, pupil, bounds = segment_eye(path, cfg)
     tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
     return _stage("svd", path, svd_factorize, Matrix(entries=tpl)).s
-
-
-def pipeline_features(path, cfg: PipelineConfig, k: int) -> np.ndarray:
-    """The first k singular values of one PGM file's template, descending.
-
-    Any stage failure surfaces as PipelineStageError naming the stage and
-    the offending file.
-    """
-    spectrum = _template_spectrum(path, cfg)
-    if not 1 <= k <= spectrum.size:
-        raise ValueError(f"dimension {k} outside [1, {spectrum.size}]")
-    return spectrum[:k]
 
 
 def cell_seed(base_seed: int, n_classes: int, dim: int) -> int:
@@ -317,9 +309,10 @@ def run_experiment(
 ) -> ExperimentGrid:
     """Fill the class-count by dimension grid over one dataset.
 
-    Feature spectra are computed once per image and shared across cells.
-    Class counts beyond the dataset are skipped; a failing cell is recorded
-    with its error and the sweep continues.
+    Each image goes through the pipeline at most once per run: its spectrum,
+    or the error it failed with, is kept for every later cell.  Class counts
+    beyond the dataset are skipped; a failing cell is recorded with the
+    first error among its images and the sweep continues.
     """
     counts = [c for c in grid.class_counts if c <= len(ds.classes)]
     train_set, test_set = split(ds, grid.n_train)
@@ -327,17 +320,21 @@ def run_experiment(
     if grid.epoch_cap is not None:
         base_cfg = replace(base_cfg, max_epochs=grid.epoch_cap)
 
-    spectra: dict[Path, np.ndarray] = {}
+    spectra: dict[Path, np.ndarray | Exception] = {}
     cells: list[GridCell] = []
     for c in counts:
         classes = ds.classes[:c]
         for k in grid.dims:
             started = time.perf_counter()
             try:
-                for cls in classes:
-                    for p in ds.samples[cls]:
-                        if p not in spectra:
+                for p in (f for cls in classes for f in ds.samples[cls]):
+                    if p not in spectra:
+                        try:
                             spectra[p] = _template_spectrum(p, pipeline)
+                        except Exception as exc:
+                            spectra[p] = exc
+                    if isinstance(spectra[p], Exception):
+                        raise spectra[p]
                 # Spectra are shared with later cells, so a cell's seconds
                 # cover its training and evaluation only.
                 started = time.perf_counter()

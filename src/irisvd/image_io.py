@@ -65,34 +65,6 @@ class GrayImage:
         return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryImage:
-    """Grid of {0, 1} bits, shape (height, width)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.bits, dtype=np.int64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"BinaryImage needs a 2-D array, got shape {arr.shape}")
-        if arr.min() < 0 or arr.max() > 1:
-            raise ValueError("BinaryImage bits must be exactly 0 or 1")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryImage) and np.array_equal(self.bits, other.bits)
-
-
 # ---------------------------------------------------------------------------
 # PGM parsing
 

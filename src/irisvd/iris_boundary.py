@@ -78,12 +78,7 @@ def scanline(img: GrayImage, pupil: PupilGeometry) -> np.ndarray:
     spans as much of [0, 255] as the row allows.  A constant row has no
     contrast to stretch and degenerates to an all-zero profile.
     """
-    row = int(round_half_away(pupil.y_cp))
-    if not 0 <= row < img.height:
-        raise ValueError(
-            f"pupil center row {row} outside image of height {img.height}"
-        )
-    line = img.pixels[row].astype(np.float64)
+    line = img.pixels[int(round_half_away(pupil.y_cp))].astype(np.float64)
     low, high = line.min(), line.max()
     if high <= low:
         return np.zeros(line.shape, dtype=np.int64)
@@ -93,9 +88,7 @@ def scanline(img: GrayImage, pupil: PupilGeometry) -> np.ndarray:
 def _pupil_edge_column(pupil: PupilGeometry, direction: str) -> int:
     if direction == "right":
         return int(round_half_away(pupil.x_cp + pupil.r_x))
-    if direction == "left":
-        return int(round_half_away(pupil.x_cp - pupil.r_x))
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    return int(round_half_away(pupil.x_cp - pupil.r_x))
 
 
 def detect_edge(

@@ -1,12 +1,13 @@
 """Pupil localisation.
 
-Dark pixels are thresholded to a binary mask and 8-connected regions are
-labelled by the run-based two-scan algorithm of He, Chao & Suzuki (IEEE TIP
-2008): every run of 1s in the mask is found in one vectorised pass, runs in
-consecutive rows that touch are merged through a union-find, and each region
-keeps its pixel coordinates as arrays.  Regions smaller than the minimum
-pupil area (eyelashes) are cleared, and the surviving largest region yields
-the pupil centroid and its horizontal/vertical radii.
+Dark pixels are thresholded to a mask, a plain 2-D bool array, and
+8-connected regions are labelled by the run-based two-scan algorithm of He,
+Chao & Suzuki (IEEE TIP 2008): every run of True in the mask is found in one
+vectorised pass, runs in consecutive rows that touch are merged through a
+union-find, and each region keeps its pixel coordinates as arrays.  Regions
+smaller than the minimum pupil area (eyelashes) are cleared, and the
+surviving largest region yields the pupil centroid and its
+horizontal/vertical radii.
 
 Coordinates are (x, y) with origin top-left, x rightward, y downward.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_io import BinaryImage, GrayImage, round_half_away
+from .image_io import GrayImage, round_half_away
 
 DEFAULT_DARK_THRESHOLD = 70
 DEFAULT_MIN_PUPIL_AREA = 2500
@@ -55,26 +56,26 @@ class PupilGeometry:
             raise ValueError("pupil radii must be positive")
 
 
-def threshold_dark(img: GrayImage, t: int = DEFAULT_DARK_THRESHOLD) -> BinaryImage:
-    """Mark pixels with intensity <= t as foreground 1 (dark goes to 1).
+def threshold_dark(img: GrayImage, t: int = DEFAULT_DARK_THRESHOLD) -> np.ndarray:
+    """The bool mask of pixels with intensity <= t (dark is True).
 
     PipelineConfig checks t where it enters.
     """
-    return BinaryImage((img.pixels <= t).astype(np.uint8))
+    return img.pixels <= t
 
 
-def label_components_8(bin_img: BinaryImage) -> list[Region]:
+def label_components_8(mask: np.ndarray) -> list[Region]:
     """Label 8-connected foreground regions, labels 1..n in row-major first-encounter order.
 
-    The first scan takes every run of 1s in the mask at once and merges
+    The first scan takes every run of True in the mask at once and merges
     runs of consecutive rows that overlap or touch diagonally; the second
     numbers the resolved components in scan order and groups each region's
     pixel coordinates.
     """
-    w = bin_img.width
-    # In the flattened steps of the padded rows, each run of 1s shows as its
-    # start then its end: row * (w + 1) + x, the end half-open.
-    steps = np.diff(np.pad(bin_img.bits.view(np.int8), ((0, 0), (1, 1))), axis=1)
+    w = mask.shape[1]
+    # In the flattened changes along the padded rows, each run of True shows
+    # as its start then its end: row * (w + 1) + x, the end half-open.
+    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1)
     flat = np.flatnonzero(steps)
     start, end = flat[::2], flat[1::2]
     if not start.size:
@@ -101,7 +102,7 @@ def label_components_8(bin_img: BinaryImage) -> list[Region]:
 
     # A component's root is its first run, so root order is scan order.
     _, run_label = np.unique([find(i) for i in range(start.size)], return_inverse=True)
-    ys, xs = np.divmod(np.flatnonzero(bin_img.bits), w)
+    ys, xs = np.divmod(np.flatnonzero(mask), w)
     pixel_label = np.repeat(run_label, end - start)
     order = np.argsort(pixel_label, kind="stable")
     groups = np.split(order, np.cumsum(np.bincount(pixel_label))[:-1])
@@ -109,21 +110,17 @@ def label_components_8(bin_img: BinaryImage) -> list[Region]:
 
 
 def filter_small_regions(
-    regions: list[Region],
-    bin_img: BinaryImage,
-    min_area: int = DEFAULT_MIN_PUPIL_AREA,
-) -> BinaryImage:
-    """Clear every region with area strictly below min_area; keep the rest."""
-    out = np.array(bin_img.bits, copy=True)
+    regions: list[Region], mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA
+) -> np.ndarray:
+    """A copy of mask with every region of area below min_area cleared."""
+    out = mask.copy()
     for region in regions:
         if region.area < min_area:
-            out[region.ys, region.xs] = 0
-    return BinaryImage(out)
+            out[region.ys, region.xs] = False
+    return out
 
 
-def pupil_geometry(
-    bin_img: BinaryImage, min_area: int = DEFAULT_MIN_PUPIL_AREA
-) -> PupilGeometry:
+def pupil_geometry(mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA) -> PupilGeometry:
     """Locate the pupil in a thresholded mask.
 
     Labels the mask, drops regions below min_area, picks the largest survivor
@@ -136,7 +133,7 @@ def pupil_geometry(
 
     Raises PupilNotFoundError when nothing survives the area filter.
     """
-    regions = label_components_8(bin_img)
+    regions = label_components_8(mask)
     survivors = [r for r in regions if r.area >= min_area]
     if not survivors:
         raise PupilNotFoundError(

@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from irisvd import cli, harness, segmentation, synth
-from irisvd.ebp import TrainConfig
+from irisvd.ebp import ModelFormatError, TrainConfig
 from irisvd.image_io import GrayImage, read_pgm_file, write_pgm_file
 from irisvd.iris_boundary import IrisBounds, mark_bounds
-from irisvd.segmentation import (
-    filter_small_regions,
-    label_components_8,
-    pupil_geometry,
-    threshold_dark,
-)
+from irisvd.segmentation import PupilGeometry, label_components_8, threshold_dark
+from test_segmentation import flood_fill_components, oracle_geometry
 
 
 @pytest.fixture(scope="module")
@@ -128,14 +124,20 @@ class TestSegment:
         )
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert code == 0
+        # Expected dumps from the flood-fill oracle, not the labelling code.
         eye = read_pgm_file(img)
-        mask = threshold_dark(eye)
-        filtered = filter_small_regions(label_components_8(mask), mask)
+        cfg = harness.PipelineConfig()
+        dark = eye.pixels <= cfg.threshold
+        kept = [c for c in flood_fill_components(dark) if len(c) >= cfg.min_pupil_area]
+        filtered = np.zeros_like(dark)
+        for x, y in set().union(*kept):
+            filtered[y, x] = True
+        pupil = PupilGeometry(*oracle_geometry(max(kept, key=len)))
         bounds = IrisBounds(int(row[6]), int(row[7]), row[8] == "1", row[9] == "1")
         expected = {
-            "threshold": np.where(mask.bits == 1, 0, 255),
-            "filtered": np.where(filtered.bits == 1, 0, 255),
-            "bounds": mark_bounds(eye, pupil_geometry(mask), bounds).pixels,
+            "threshold": np.where(dark, 0, 255),
+            "filtered": np.where(filtered, 0, 255),
+            "bounds": mark_bounds(eye, pupil, bounds).pixels,
         }
         for suffix, pixels in expected.items():
             dumped = read_pgm_file(tmp_path / f"{img.stem}_{suffix}.pgm")
@@ -211,6 +213,22 @@ class TestClassify:
         assert (code, reads) == (2, [])
         out, err = capsys.readouterr()
         assert out == "" and "dimension 3" in err
+
+    def test_undecodable_labels_is_model_error(
+        self, eye_dir, model_file, tmp_path, monkeypatch, capsys
+    ):
+        model = tmp_path / "model.txt"
+        model.write_bytes(model_file.read_bytes())
+        labels = tmp_path / "model.txt.labels"
+        labels.write_bytes(b"class001\nclass\xff002\nclass003\n")
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        code = cli.main(["classify", "--model", str(model), img])
+        assert (code, reads) == (2, [])
+        assert capsys.readouterr() == ("", f"error: {labels}: line 2: not UTF-8 text\n")
+        with pytest.raises(ModelFormatError):
+            cli._read_utf8(labels, ModelFormatError)
 
     def test_missing_model(self, eye_dir, tmp_path, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])

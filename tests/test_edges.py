@@ -13,6 +13,7 @@ import contextlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,3 +177,51 @@ def test_mutated_config(work, small_set, data):
     else:
         assert code == 1 and row == "2,3,,0,failed"
         assert re.fullmatch(r"cell \(2, 3\) failed: .+\n", err), err
+
+
+_EYE = _eye(3).pixels.astype(np.float64)
+
+
+@st.composite
+def altered_eye(draw) -> np.ndarray:
+    """The eye shifted, rescaled in brightness and cropped, as uint8 pixels.
+
+    Shifts and crops move the pupil onto the border or cut it; brightness
+    changes merge the iris into the dark mask or break it into many regions.
+    """
+    h, w = _EYE.shape
+    dy, dx = draw(st.integers(-h // 3, h // 3)), draw(st.integers(-w // 3, w // 3))
+    shifted = np.full_like(_EYE, draw(st.integers(0, 255)))
+    shifted[max(dy, 0) : h + min(dy, 0), max(dx, 0) : w + min(dx, 0)] = _EYE[
+        max(-dy, 0) : h + min(-dy, 0), max(-dx, 0) : w + min(-dx, 0)
+    ]
+    gain, offset = draw(st.floats(0.5, 1.5)), draw(st.integers(-60, 60))
+    pixels = np.clip(np.rint(shifted * gain + offset), 0, 255).astype(np.uint8)
+    top, bottom = draw(st.integers(0, h // 3)), h - draw(st.integers(0, h // 3))
+    left, right = draw(st.integers(0, w // 3)), w - draw(st.integers(0, w // 3))
+    return pixels[top:bottom, left:right]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(altered_eye())
+def test_altered_eye(work, pixels):
+    path, dumps = work / "altered.pgm", work / "dumps"
+    image_io.write_pgm_file(path, image_io.GrayImage(pixels))
+    code, out, err = run_cli(["segment", "--dump-stages", "--out", str(dumps), str(path)])
+    rows = out.splitlines()
+    assert rows[0] == cli.SEGMENT_HEADER
+    if code == 0:
+        assert err == "" and len(rows) == 2
+        fields = rows[1].split(",")
+        x_cp, y_cp = float(fields[1]), float(fields[2])
+        left, right = int(fields[6]), int(fields[7])
+        assert 0 <= x_cp < pixels.shape[1] and 0 <= y_cp < pixels.shape[0]
+        assert 0 <= left < right < pixels.shape[1]
+        dark = image_io.read_pgm_file(dumps / "altered_threshold.pgm").pixels == 0
+        kept = image_io.read_pgm_file(dumps / "altered_filtered.pgm").pixels == 0
+        assert np.array_equal(dark, pixels <= harness.PipelineConfig().threshold)
+        assert kept.any() and not np.any(kept & ~dark)
+    else:
+        assert code == 1 and rows == [cli.SEGMENT_HEADER]
+        p = re.escape(str(path))
+        assert re.fullmatch(f"{p}: stage '(segment|bounds)' failed on {p}: .+\n", err), err

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from irisvd import harness, svd
+from irisvd import cli, harness, svd
 from irisvd.ebp import TrainConfig
 from irisvd.image_io import GrayImage, write_pgm_file
 from irisvd.synth import EyeSpec, class_seed_for, generate_dataset, generate_eye
@@ -133,32 +133,23 @@ class TestSplit:
 class TestPipelineFeatures:
     def test_feature_vector_contract(self, dataset):
         path = dataset.samples[dataset.classes[0]][0]
-        x = harness.pipeline_features(path, harness.PipelineConfig(), k=10)
-        assert x.shape == (10,)
+        x = harness._template_spectrum(path, harness.PipelineConfig())
+        assert x.shape == (40,)
         assert x[0] >= x[-1] >= 0.0
 
     def test_deterministic(self, dataset):
         path = dataset.samples[dataset.classes[0]][0]
         cfg = harness.PipelineConfig()
-        a = harness.pipeline_features(path, cfg, k=7)
-        b = harness.pipeline_features(path, cfg, k=7)
+        a = harness._template_spectrum(path, cfg)
+        b = harness._template_spectrum(path, cfg)
         assert np.array_equal(a, b)
-
-    def test_prefix_of_full_spectrum(self, dataset):
-        # The cache stores the full spectrum; every dimension must be a
-        # bit-identical prefix of it.
-        path = dataset.samples[dataset.classes[0]][0]
-        cfg = harness.PipelineConfig()
-        spectrum = harness._template_spectrum(path, cfg)
-        for k in (3, 10, 20, 40):
-            assert np.array_equal(harness.pipeline_features(path, cfg, k), spectrum[:k])
 
     def test_blank_image_fails_at_segmentation(self, tmp_path):
         blank = GrayImage(pixels=np.full((280, 320), 255, dtype=np.uint8))
         path = tmp_path / "blank.pgm"
         write_pgm_file(path, blank)
         with pytest.raises(harness.PipelineStageError) as info:
-            harness.pipeline_features(path, harness.PipelineConfig(), k=3)
+            harness._template_spectrum(path, harness.PipelineConfig())
         assert info.value.stage == "segment"
         assert "blank.pgm" in str(info.value)
 
@@ -185,11 +176,14 @@ class TestPipelineFeatures:
         assert spectrum[-1] < 1e-13 * spectrum[0]
 
     def test_dimension_bounds(self, dataset):
+        # The CLI checks k before any image is read, against the template
+        # shape; the spectrum must hold exactly that many values.
         path = dataset.samples[dataset.classes[0]][0]
-        with pytest.raises(ValueError):
-            harness.pipeline_features(path, harness.PipelineConfig(), k=0)
-        with pytest.raises(ValueError):
-            harness.pipeline_features(path, harness.PipelineConfig(), k=41)
+        size = harness._template_spectrum(path, harness.PipelineConfig()).size
+        assert cli._check_dim(size) == size
+        for k in (0, size + 1):
+            with pytest.raises(cli.ConfigError):
+                cli._check_dim(k)
 
 
 class TestCellSeed:
@@ -275,6 +269,29 @@ class TestRunExperiment:
         assert cell.stop_reason == "failed"
         report = harness.emit_report(result)
         assert "3,3,,0,failed" in report
+
+    def test_each_image_runs_once(self, eye_dir, tmp_path, monkeypatch):
+        # A failing image fails every cell that holds it, with the same
+        # message, but goes through the pipeline once per run.
+        root = tmp_path / "blanked"
+        shutil.copytree(eye_dir, root)
+        blank = root / "class001_sample07.pgm"
+        write_pgm_file(blank, GrayImage(pixels=np.full((280, 320), 255, np.uint8)))
+        calls = []
+        real = harness._template_spectrum
+
+        def spy(path, cfg):
+            calls.append(path)
+            return real(path, cfg)
+
+        monkeypatch.setattr(harness, "_template_spectrum", spy)
+        ds = harness.load_dataset(root)
+        grid = harness.GridConfig(class_counts=(2, 3), dims=(3, 10), epoch_cap=20)
+        cells = harness.run_experiment(ds, grid).cells
+        assert len(calls) == len(set(calls)) and blank in calls
+        errors = {cell.error for cell in cells}
+        assert len(cells) == 4 and len(errors) == 1
+        assert f"stage 'segment' failed on {blank}" in errors.pop()
 
     def test_per_cell_seed_wired(self, dataset, monkeypatch):
         # Every cell's network must be seeded from the cell coordinates.

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisvd.image_io import (
-    BinaryImage,
     GrayImage,
     PgmParseError,
     block_downsample,
@@ -40,13 +39,6 @@ class TestGrayImage:
         img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
-
-
-class TestBinaryImage:
-    @pytest.mark.parametrize("value", [2, -1])
-    def test_rejects_non_binary(self, value):
-        with pytest.raises(ValueError):
-            BinaryImage(np.array([[0, value]]))
 
 
 class TestReadPgm:

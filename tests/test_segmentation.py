@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from irisvd.harness import PipelineConfig
-from irisvd.image_io import BinaryImage, GrayImage, round_half_away
+from irisvd.image_io import GrayImage, round_half_away
 from irisvd.segmentation import (
     PupilNotFoundError,
     filter_small_regions,
@@ -74,7 +74,7 @@ def oracle_geometry(comp: set) -> tuple:
 
 def disk_mask(w, h, cx, cy, r):
     ys, xs = np.mgrid[0:h, 0:w]
-    return ((xs - cx) ** 2 + (ys - cy) ** 2 <= r * r).astype(np.uint8)
+    return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
 
 
 def c_mask(w, h, cx, cy, r_in, r_out):
@@ -83,19 +83,19 @@ def c_mask(w, h, cx, cy, r_in, r_out):
     d2 = (xs - cx) ** 2 + (ys - cy) ** 2
     ring = (d2 >= r_in * r_in) & (d2 <= r_out * r_out)
     gap = (xs > cx) & (np.abs(ys - cy) < r_in)
-    return (ring & ~gap).astype(np.uint8)
+    return ring & ~gap
 
 
 class TestFloodFillOracle:
     """Sanity for the oracle itself before anything leans on it."""
 
     def test_two_diagonal_pixels_one_component(self):
-        bits = np.zeros((3, 3), dtype=np.uint8)
+        bits = np.zeros((3, 3), dtype=bool)
         bits[0, 0] = bits[1, 1] = 1
         assert len(flood_fill_components(bits)) == 1
 
     def test_separated_pixels_two_components(self):
-        bits = np.zeros((1, 3), dtype=np.uint8)
+        bits = np.zeros((1, 3), dtype=bool)
         bits[0, 0] = bits[0, 2] = 1
         assert len(flood_fill_components(bits)) == 2
 
@@ -103,24 +103,22 @@ class TestFloodFillOracle:
 class TestThresholdDark:
     def test_boundary_value_is_foreground(self):
         img = GrayImage(np.array([[70, 71]]))
-        out = threshold_dark(img, 70)
-        assert out.bits[0, 0] == 1
-        assert out.bits[0, 1] == 0
+        assert threshold_dark(img, 70).tolist() == [[True, False]]
 
     def test_bright_pixel_excluded(self):
         img = GrayImage(np.array([[255]]))
-        assert threshold_dark(img, 70).bits[0, 0] == 0
+        assert not threshold_dark(img, 70)[0, 0]
 
     def test_all_zero_image_all_foreground(self):
         img = GrayImage(np.zeros((4, 5), dtype=np.uint8))
-        assert threshold_dark(img, 70).bits.sum() == 20
+        assert threshold_dark(img, 70).sum() == 20
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
         img = GrayImage(rng.integers(0, 256, size=(20, 20)))
         t = 70
         out = threshold_dark(img, t)
-        assert np.array_equal(out.bits == 1, img.pixels <= t)
+        assert out.dtype == bool and np.array_equal(out, img.pixels <= t)
 
     def test_invalid_threshold(self):
         # Checked once, where the threshold enters: the pipeline config.
@@ -130,26 +128,26 @@ class TestThresholdDark:
 
 class TestLabelComponents:
     def test_diagonal_touch_is_one_region(self):
-        bits = np.zeros((2, 2), dtype=np.uint8)
+        bits = np.zeros((2, 2), dtype=bool)
         bits[0, 0] = bits[1, 1] = 1
-        regions = label_components_8(BinaryImage(bits))
+        regions = label_components_8(bits)
         assert len(regions) == 1
         assert regions[0].area == 2
 
     def test_gap_separates_regions(self):
-        bits = np.array([[1, 0, 1]], dtype=np.uint8)
-        regions = label_components_8(BinaryImage(bits))
+        bits = np.array([[True, False, True]])
+        regions = label_components_8(bits)
         assert len(regions) == 2
 
     def test_empty_image(self):
-        regions = label_components_8(BinaryImage(np.zeros((4, 4), dtype=np.uint8)))
+        regions = label_components_8(np.zeros((4, 4), dtype=bool))
         assert regions == []
 
     def test_matches_flood_fill_oracle_random(self):
         rng = np.random.default_rng(42)
         for density in (0.2, 0.5, 0.8):
-            bits = (rng.random((64, 64)) < density).astype(np.uint8)
-            regions = label_components_8(BinaryImage(bits))
+            bits = (rng.random((64, 64)) < density)
+            regions = label_components_8(bits)
             oracle = flood_fill_components(bits)
             assert {frozenset(zip(r.xs.tolist(), r.ys.tolist())) for r in regions} == {
                 frozenset(c) for c in oracle
@@ -157,8 +155,8 @@ class TestLabelComponents:
 
     def test_labels_follow_scan_order(self):
         rng = np.random.default_rng(7)
-        bits = (rng.random((32, 32)) < 0.3).astype(np.uint8)
-        regions = label_components_8(BinaryImage(bits))
+        bits = (rng.random((32, 32)) < 0.3)
+        regions = label_components_8(bits)
         firsts = [(r.ys[0], r.xs[0]) for r in regions]
         assert firsts == sorted(firsts)
         assert [r.label for r in regions] == list(range(1, len(regions) + 1))
@@ -167,51 +165,48 @@ class TestLabelComponents:
 
     def test_areas_sum_to_foreground(self):
         rng = np.random.default_rng(11)
-        bits = (rng.random((40, 40)) < 0.4).astype(np.uint8)
-        img = BinaryImage(bits)
-        regions = label_components_8(img)
+        bits = (rng.random((40, 40)) < 0.4)
+        regions = label_components_8(bits)
         assert sum(r.area for r in regions) == bits.sum()
 
 
 class TestFilterSmallRegions:
     def _square(self, side, pad=2):
         size = side + 2 * pad
-        bits = np.zeros((size, size), dtype=np.uint8)
+        bits = np.zeros((size, size), dtype=bool)
         bits[pad : pad + side, pad : pad + side] = 1
-        return BinaryImage(bits)
+        return bits
 
     def test_area_2500_kept(self):
         img = self._square(50)  # 2500 pixels exactly
         regions = label_components_8(img)
         out = filter_small_regions(regions, img, 2500)
-        assert out.bits.sum() == 2500
+        assert out.sum() == 2500
 
     def test_area_2499_cleared(self):
-        bits = np.zeros((54, 54), dtype=np.uint8)
+        bits = np.zeros((54, 54), dtype=bool)
         bits[2:52, 2:52] = 1
         bits[2, 2] = 0  # 2499 pixels
-        img = BinaryImage(bits)
-        out = filter_small_regions(label_components_8(img), img, 2500)
-        assert out.bits.sum() == 0
+        out = filter_small_regions(label_components_8(bits), bits, 2500)
+        assert out.sum() == 0
+        assert bits.sum() == 2499  # cleared in a copy
 
     def test_empty_image(self):
-        img = BinaryImage(np.zeros((3, 3), dtype=np.uint8))
-        out = filter_small_regions([], img, 2500)
-        assert out.bits.sum() == 0
+        out = filter_small_regions([], np.zeros((3, 3), dtype=bool), 2500)
+        assert out.sum() == 0
 
     def test_never_sets_bits(self):
         rng = np.random.default_rng(3)
-        bits = (rng.random((30, 30)) < 0.3).astype(np.uint8)
-        img = BinaryImage(bits)
-        out = filter_small_regions(label_components_8(img), img, 10)
-        assert not np.any((out.bits == 1) & (img.bits == 0))
+        bits = (rng.random((30, 30)) < 0.3)
+        out = filter_small_regions(label_components_8(bits), bits, 10)
+        assert not np.any(out & ~bits)
 
 
 class TestPupilGeometry:
     def test_filled_disk(self):
         bits = disk_mask(320, 280, 160, 140, 30)
         assert bits.sum() >= 2500
-        geom = pupil_geometry(BinaryImage(bits))
+        geom = pupil_geometry(bits)
         # Exact values from the rasterized mask itself.
         ys, xs = np.nonzero(bits)
         assert geom.x_cp == pytest.approx(xs.mean(), abs=1e-9)
@@ -221,27 +216,27 @@ class TestPupilGeometry:
         assert geom.area == int(bits.sum())
 
     def test_filled_rectangle_exact(self):
-        bits = np.zeros((280, 320), dtype=np.uint8)
+        bits = np.zeros((280, 320), dtype=bool)
         bits[100:150, 80:140] = 1  # 60 wide, 50 tall
-        geom = pupil_geometry(BinaryImage(bits))
+        geom = pupil_geometry(bits)
         assert geom.x_cp == pytest.approx((80 + 139) / 2)
         assert geom.y_cp == pytest.approx((100 + 149) / 2)
         assert geom.r_x == pytest.approx(30.0)
         assert geom.r_y == pytest.approx(25.0)
 
     def test_eyelash_strokes_only_raises(self):
-        bits = np.zeros((280, 320), dtype=np.uint8)
+        bits = np.zeros((280, 320), dtype=bool)
         for i in range(8):  # thin strokes, each far below 2500 px
             x = 30 + i * 30
             bits[40:90, x : x + 2] = 1
         with pytest.raises(PupilNotFoundError):
-            pupil_geometry(BinaryImage(bits))
+            pupil_geometry(bits)
 
     def test_largest_region_wins(self):
-        bits = np.zeros((300, 300), dtype=np.uint8)
+        bits = np.zeros((300, 300), dtype=bool)
         bits[10:70, 10:70] = 1  # 3600
         bits[100:180, 100:180] = 1  # 6400
-        geom = pupil_geometry(BinaryImage(bits), min_area=2500)
+        geom = pupil_geometry(bits, min_area=2500)
         assert geom.area == 6400
         assert geom.x_cp == pytest.approx((100 + 179) / 2)
 
@@ -252,10 +247,10 @@ class TestPupilGeometry:
         disk[5:10, 5:10] = 1  # small distractor
         masks = [(disk, 2500), (c_mask(200, 200, 100, 100, 30, 45), 2500)]
         rng = np.random.default_rng(13)
-        masks += [((rng.random((48, 48)) < d).astype(np.uint8), 1) for d in (0.3, 0.45, 0.6)]
+        masks += [((rng.random((48, 48)) < d), 1) for d in (0.3, 0.45, 0.6)]
         fallbacks = 0
         for bits, min_area in masks:
-            geom = pupil_geometry(BinaryImage(bits), min_area=min_area)
+            geom = pupil_geometry(bits, min_area=min_area)
             big = max(flood_fill_components(bits), key=len)
             assert (geom.x_cp, geom.y_cp, geom.r_x, geom.r_y, geom.area) == (
                 oracle_geometry(big)

@@ -280,6 +280,6 @@ class TestFeatureVector:
         img, _, _ = generate_eye(EyeSpec(class_seed=2, sample_seed=3))
         path = tmp_path / "eye.pgm"
         write_pgm_file(path, img)
-        x = harness.pipeline_features(path, harness.PipelineConfig(), k)
+        x = harness._template_spectrum(path, harness.PipelineConfig())[:k]
         assert x.shape == (k,) and x.dtype == np.float64
         assert np.all(np.diff(x) <= 0.0) and x[-1] >= 0.0
