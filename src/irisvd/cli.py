@@ -307,6 +307,11 @@ def cmd_classify(args) -> int:
         if labels_file.is_file():
             labels = _read_utf8(labels_file, ModelFormatError).splitlines()
             labels = [ln for ln in labels if ln]
+            if len(labels) != net.shape.n_out:
+                raise ModelFormatError(
+                    f"{labels_file}: {len(labels)} labels for a model with "
+                    f"{net.shape.n_out} outputs"
+                )
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -326,7 +331,7 @@ def cmd_classify(args) -> int:
             continue
         y = forward(net, apply_scaling(net.feature_scaling, x))
         index = decode(y)
-        label = labels[index] if labels and index < len(labels) else str(index)
+        label = labels[index] if labels else str(index)
         print(f"{path},{label},{float(y[index]):.4f}")
     return 1 if failures else 0
 

@@ -44,12 +44,14 @@ class GrayImage:
         raw = np.asarray(self.pixels)
         if raw.dtype.kind == "f" and not np.all(raw == np.floor(raw)):
             raise ValueError("GrayImage intensities must be integral")
-        arr = np.array(raw, dtype=np.int64, copy=True)
+        # uint8 is in range by its type and is copied as it is; anything else
+        # is range-checked as int64.
+        arr = np.array(raw, dtype=np.uint8 if raw.dtype == np.uint8 else np.int64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"GrayImage needs a 2-D array, got shape {arr.shape}")
-        if arr.min() < 0 or arr.max() > 255:
+        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
             raise ValueError("GrayImage intensities must lie in [0, 255]")
-        arr = arr.astype(np.uint8)
+        arr = arr.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -211,7 +213,7 @@ def read_pgm(data: bytes) -> GrayImage:
                 f"trailing data: expected {count} payload bytes, found "
                 f"{len(payload)} (payload starts at byte offset {payload_start})"
             )
-        arr = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        arr = np.frombuffer(payload, dtype=np.uint8)
     else:
         # Each pixel needs a digit and a separator, so the bytes left bound
         # the count before anything is allocated from the header's numbers.
@@ -236,28 +238,30 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(arr.reshape(height, width))
 
 
+# The decimal digits of every 8-bit value in four bytes, NUL-padded: the
+# fourth takes the separator that follows the value, and the NULs are dropped.
+_P2_SLOTS = np.array(
+    [list(str(v).encode().ljust(4, b"\0")) for v in range(256)], dtype=np.uint8
+)
+# The longest run of whole tokens, 69 characters at most, that ends a row or
+# is followed by a space: the greedy wrap of one P2 line.
+_P2_LINE = re.compile(rb"(\S.{0,68})(?: |$)", re.MULTILINE)
+
+
 def write_pgm(img: GrayImage, ascii: bool = False) -> bytes:
     """Serialize to PGM bytes; P2 when ascii=True, else P5.
 
+    A P2 row is wrapped greedily into lines of at most 69 characters.
     Round-trip law: read_pgm(write_pgm(img)) == img, bit-exact.
     """
     header = f"{'P2' if ascii else 'P5'}\n{img.width} {img.height}\n255\n"
     if not ascii:
         return header.encode("ascii") + img.pixels.tobytes()
-    lines = []
-    for row in img.pixels:
-        line: list[str] = []
-        length = 0
-        for v in row:
-            s = str(int(v))
-            if length + len(s) + (1 if line else 0) > 69:
-                lines.append(" ".join(line))
-                line, length = [], 0
-            line.append(s)
-            length += len(s) + (1 if length else 0)
-        if line:
-            lines.append(" ".join(line))
-    return header.encode("ascii") + ("\n".join(lines) + "\n").encode("ascii")
+    slots = _P2_SLOTS[img.pixels]
+    slots[:, :, 3] = ord(" ")
+    slots[:, -1, 3] = ord("\n")
+    rows = slots[slots != 0].tobytes()
+    return header.encode("ascii") + b"\n".join(_P2_LINE.findall(rows)) + b"\n"
 
 
 def read_pgm_file(path) -> GrayImage:

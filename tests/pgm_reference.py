@@ -1,9 +1,11 @@
-"""Reference PGM reader: read_pgm as it was when a P2 body was parsed one
-_Tokenizer call per pixel.
+"""Reference PGM reader and writer: read_pgm as it was when a P2 body was
+parsed one _Tokenizer call per pixel, and write_pgm as it was when a P2 row
+was wrapped one pixel at a time.
 
-Kept verbatim so the one-pass P2 body scan can be held to it: the same
-arrays for every input it accepts, and the same PgmParseError message,
-byte offset included, for every input it rejects.
+Kept verbatim so the one-pass P2 body scan can be held to the reader: the
+same arrays for every input it accepts, and the same PgmParseError message,
+byte offset included, for every input it rejects.  The whole-row P2 writer
+is held to the writer byte for byte.
 """
 
 from __future__ import annotations
@@ -91,3 +93,27 @@ def reference_read_pgm(data: bytes) -> GrayImage:
             f"pixel {bad} has value {int(arr[bad])} exceeding maxval {maxval}"
         )
     return GrayImage(arr.reshape(height, width))
+
+
+def reference_write_pgm(img: GrayImage, ascii: bool = False) -> bytes:
+    """Serialize to PGM bytes; P2 when ascii=True, else P5.
+
+    Round-trip law: read_pgm(write_pgm(img)) == img, bit-exact.
+    """
+    header = f"{'P2' if ascii else 'P5'}\n{img.width} {img.height}\n255\n"
+    if not ascii:
+        return header.encode("ascii") + img.pixels.tobytes()
+    lines = []
+    for row in img.pixels:
+        line: list[str] = []
+        length = 0
+        for v in row:
+            s = str(int(v))
+            if length + len(s) + (1 if line else 0) > 69:
+                lines.append(" ".join(line))
+                line, length = [], 0
+            line.append(s)
+            length += len(s) + (1 if length else 0)
+        if line:
+            lines.append(" ".join(line))
+    return header.encode("ascii") + ("\n".join(lines) + "\n").encode("ascii")

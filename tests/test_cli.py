@@ -230,6 +230,24 @@ class TestClassify:
         with pytest.raises(ModelFormatError):
             cli._read_utf8(labels, ModelFormatError)
 
+    @pytest.mark.parametrize("text", ["class001\nclass002\n", "a\nb\nc\nd\n", ""])
+    def test_labels_count_must_match_outputs(
+        self, eye_dir, model_file, tmp_path, monkeypatch, capsys, text
+    ):
+        model = tmp_path / "model.txt"
+        model.write_bytes(model_file.read_bytes())
+        labels = tmp_path / "model.txt.labels"
+        labels.write_text(text, encoding="utf-8")
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        code = cli.main(["classify", "--model", str(model), img])
+        assert (code, reads) == (2, [])
+        count = len(text.split())
+        assert capsys.readouterr() == (
+            "", f"error: {labels}: {count} labels for a model with 3 outputs\n"
+        )
+
     def test_missing_model(self, eye_dir, tmp_path, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
         code = cli.main(
@@ -448,6 +466,21 @@ class TestBenchmarkHooks:
         modules = (cli, harness, segmentation, synth)
         for span, attr in tracing.WRAPPED.items():
             assert any(callable(getattr(m, attr, None)) for m in modules), span
+
+    def test_synth_records_one_generate_span(self, tmp_path, capsys):
+        # synth.generate_s is read from this span: one per synth call, so
+        # it times the whole render and nothing else wraps it twice.
+        tracing = load_tracing()
+        tracer = tracing.Tracer()
+        tracer.install((cli, harness, segmentation, synth))
+        argv = ["synth", "--classes", "2", "--samples", "3", "--out", str(tmp_path)]
+        try:
+            with tracer.request("synth", kind="setup"):
+                assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert [s["name"] for s in tracer.spans].count("synth.generate") == 1
 
     def test_segment_records_every_layer(self, eye_dir, capsys):
         # The traced benchmark exits 1 when a layer it expects has no span.

@@ -15,7 +15,8 @@ from irisvd.image_io import (
     round_half_away,
     write_pgm,
 )
-from pgm_reference import reference_read_pgm
+from irisvd.synth import EyeSpec, generate_eye
+from pgm_reference import reference_read_pgm, reference_write_pgm
 
 
 def random_image(rng, max_side=40):
@@ -67,6 +68,20 @@ class TestReadPgm:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_binary_read_keeps_bytes(self):
+        # A P5 eye is read without an int64 copy (8 bytes a pixel); the
+        # 717 KB temporaries of a 320x280 eye made the time of every read
+        # depend on which large blocks the process had freed before.
+        data = write_pgm(GrayImage(np.full((280, 320), 77)))
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert img.pixels.dtype == np.uint8 and img.pixels[279, 319] == 77
+        assert peak < 4 * 280 * 320
 
     def test_ascii_count_bound_is_tight(self):
         # Single-byte pixels and separators: the shortest legal payload
@@ -150,6 +165,39 @@ def p2_bytes(draw):
         else:
             del out[at:]
     return bytes(out)
+
+
+class TestP2WriterAgainstReference:
+    """The whole-row P2 writer against the per-pixel wrap it replaced
+    (tests/pgm_reference.py): the same bytes, line breaks included."""
+
+    @pytest.mark.parametrize("width", [1, 23, 24, 320])
+    @pytest.mark.parametrize("value", [0, 9, 10, 99, 100, 255])
+    def test_uniform_rows(self, width, value):
+        img = GrayImage(np.full((3, width), value))
+        assert write_pgm(img, ascii=True) == reference_write_pgm(img, ascii=True)
+
+    @pytest.mark.parametrize("width", [1, 23, 24, 320])
+    def test_mixed_digit_counts(self, width):
+        rng = np.random.default_rng(width)
+        img = GrayImage(rng.choice([0, 9, 10, 99, 100, 255], size=(4, width)))
+        assert write_pgm(img, ascii=True) == reference_write_pgm(img, ascii=True)
+
+    def test_synthetic_eyes(self):
+        for spec in (EyeSpec(class_seed=1, sample_seed=1),
+                     EyeSpec(class_seed=8, sample_seed=3, eyelash_count=12,
+                             noise_amplitude=12, bright_spot=True)):
+            img = generate_eye(spec)[0]
+            assert write_pgm(img, ascii=True) == reference_write_pgm(img, ascii=True)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 90), st.integers(1, 4), st.data())
+    def test_random_images(self, width, height, data):
+        pixels = data.draw(
+            st.lists(st.integers(0, 255), min_size=width * height, max_size=width * height)
+        )
+        img = GrayImage(np.array(pixels).reshape(height, width))
+        assert write_pgm(img, ascii=True) == reference_write_pgm(img, ascii=True)
 
 
 class TestP2AgainstReference:

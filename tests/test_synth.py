@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irisvd.image_io import read_pgm_file
+from irisvd.image_io import read_pgm_file, round_half_away
 from irisvd.iris_boundary import iris_bounds, scanline
 from irisvd.segmentation import label_components_8, pupil_geometry, threshold_dark
 from irisvd.synth import EyeSpec, class_seed_for, generate_dataset, generate_eye
+from synth_reference import reference_generate_eye
 
 
 def clean_spec(**kw):
@@ -133,6 +140,90 @@ class TestGenerateEye:
         img_b, _, _ = generate_eye(spotted)
         assert not img_a == img_b
         assert iris_bounds(img_a, pupil) == iris_bounds(img_b, pupil)
+
+
+def render(generate, spec):
+    """What a renderer makes of spec: its float canvas before rounding
+    and its outputs, or its error message.
+
+    The canvas is compared bit for bit, because a change in the order of the
+    texture sum moves it by an ulp, which seldom moves a rounded pixel.
+    """
+    canvases = []
+
+    def spy(values):
+        if np.ndim(values) == 2:
+            canvases.append(np.asarray(values).tobytes())
+        return round_half_away(values)
+
+    with mock.patch.object(inspect.getmodule(generate), "round_half_away", spy):
+        try:
+            img, pupil, bounds = generate(spec)
+        except ValueError as exc:
+            return str(exc)
+    return canvases, img.pixels.tolist(), pupil, bounds
+
+
+@st.composite
+def eye_specs(draw):
+    """Any spec EyeSpec accepts, on a canvas of at most about 250x250."""
+    r_p = draw(st.floats(29.0, 45.0))
+    r_i = r_p + draw(st.floats(1.0, 50.0))
+    cx = r_i + draw(st.floats(0.01, 20.0))
+    cy = r_i + draw(st.floats(0.01, 20.0))
+    return EyeSpec(
+        class_seed=draw(st.integers(0, 2**64 - 1)),
+        sample_seed=draw(st.integers(0, 2**63 - 1)),
+        width=math.floor(cx + r_i) + 2 + draw(st.integers(0, 20)),
+        height=math.floor(cy + r_i) + 2 + draw(st.integers(0, 20)),
+        pupil_center=(cx, cy),
+        pupil_radius=r_p,
+        iris_radius=r_i,
+        pupil_value=draw(st.integers(0, 40)),
+        iris_base=draw(st.integers(118, 122)),
+        sclera_value=draw(st.integers(200, 255)),
+        eyelash_count=draw(st.integers(0, 12)),
+        noise_amplitude=draw(st.integers(0, 12)),
+        bright_spot=draw(st.booleans()),
+    )
+
+
+class TestSameBytesAsReference:
+    """The band-only renderer against the whole-canvas one it replaced
+    (tests/synth_reference.py): the same float canvas before rounding, and
+    the same pixels, PupilGeometry and IrisBounds."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(EyeSpec(class_seed=class_seed_for(0, c), sample_seed=s)
+              for c in (1, 5, 9) for s in (1, 4, 7)),
+            EyeSpec(class_seed=class_seed_for(3, 2), sample_seed=5, eyelash_count=12,
+                    noise_amplitude=12, bright_spot=True),
+            EyeSpec(class_seed=11, sample_seed=2, noise_amplitude=0),
+            EyeSpec(class_seed=class_seed_for(2, 108), sample_seed=7, width=160,
+                    height=140, pupil_center=(80.0, 70.0), iris_radius=55.0,
+                    pupil_radius=29.0, eyelash_count=0),
+            EyeSpec(class_seed=23, sample_seed=3, pupil_center=(141.37, 152.5),
+                    pupil_radius=31.5, iris_radius=74.25),
+            # The jitter makes this pupil wider than the iris.
+            EyeSpec(class_seed=3353, sample_seed=1, width=63, height=63,
+                    pupil_center=(31.0, 31.0), pupil_radius=29.0, iris_radius=30.0,
+                    noise_amplitude=0, eyelash_count=0),
+        ],
+        ids=lambda spec: f"{spec.class_seed}-{spec.sample_seed}",
+    )
+    def test_specs(self, spec):
+        assert render(generate_eye, spec) == render(reference_generate_eye, spec)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(eye_specs())
+    def test_any_valid_spec(self, spec):
+        # When the jitter makes r_i equal r_p, the reference divides by zero
+        # on every pixel for a band that is empty.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = render(reference_generate_eye, spec)
+        assert render(generate_eye, spec) == want
 
 
 class TestGenerateDataset:
