@@ -12,7 +12,6 @@ CSV row per cell.
 from __future__ import annotations
 
 import hashlib
-import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,13 +59,11 @@ class DatasetError(Exception):
 
 
 class PipelineStageError(Exception):
-    """A pipeline stage failed on one image; carries the stage and path."""
+    """A pipeline stage failed on one image; carries the stage's name."""
 
     def __init__(self, stage: str, path, cause: Exception):
         super().__init__(f"stage {stage!r} failed on {path}: {cause}")
         self.stage = stage
-        self.path = Path(path)
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,6 @@ class GridCell:
     rate: float | None
     epochs: int
     stop_reason: str
-    seconds: float
     error: str | None = None
 
 
@@ -297,7 +293,6 @@ def _train_cell(
         rate=correct / len(test_pairs),
         epochs=report.epochs_run,
         stop_reason=report.stop_reason,
-        seconds=0.0,
     )
 
 
@@ -325,7 +320,6 @@ def run_experiment(
     for c in counts:
         classes = ds.classes[:c]
         for k in grid.dims:
-            started = time.perf_counter()
             try:
                 for p in (f for cls in classes for f in ds.samples[cls]):
                     if p not in spectra:
@@ -335,12 +329,8 @@ def run_experiment(
                             spectra[p] = exc
                     if isinstance(spectra[p], Exception):
                         raise spectra[p]
-                # Spectra are shared with later cells, so a cell's seconds
-                # cover its training and evaluation only.
-                started = time.perf_counter()
                 cfg = replace(base_cfg, seed=cell_seed(grid.base_seed, c, k))
                 cell = _train_cell(spectra, classes, train_set, test_set, k, cfg)
-                cell = replace(cell, seconds=time.perf_counter() - started)
             except Exception as exc:
                 cell = GridCell(
                     classes=c,
@@ -348,7 +338,6 @@ def run_experiment(
                     rate=None,
                     epochs=0,
                     stop_reason="failed",
-                    seconds=time.perf_counter() - started,
                     error=str(exc),
                 )
             cells.append(cell)

@@ -70,55 +70,25 @@ class GrayImage:
 # ---------------------------------------------------------------------------
 # PGM parsing
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-class _Tokenizer:
-    """Pulls whitespace-separated header tokens, skipping '#' comments."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self):
-        d, n = self.data, len(self.data)
-        while self.pos < n:
-            b = self.data[self.pos : self.pos + 1]
-            if b in (b"#",):
-                while self.pos < n and d[self.pos : self.pos + 1] not in (b"\n", b"\r"):
-                    self.pos += 1
-            elif b and b in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self, what: str) -> tuple[bytes, int]:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise PgmParseError(
-                f"truncated header: expected {what} at byte offset {self.pos}"
-            )
-        start = self.pos
-        d, n = self.data, len(self.data)
-        while self.pos < n:
-            b = d[self.pos : self.pos + 1]
-            if b in _WHITESPACE or b == b"#":
-                break
-            self.pos += 1
-        return d[start : self.pos], start
-
-    def next_int(self, what: str) -> int:
-        token, offset = self.next_token(what)
-        try:
-            return int(token)
-        except ValueError:
-            raise PgmParseError(
-                f"expected integer {what} at byte offset {offset}, got {token!r}"
-            ) from None
-
-
 _COMMENT = re.compile(rb"#[^\n\r]*")
 _TOKEN = re.compile(rb"\S+")
+# One header token and the separators before it: whitespace (in a bytes
+# pattern \s is the six ASCII whitespace bytes) and '#' comments.
+_HEADER_TOKEN = re.compile(rb"(?:\s|%s)*([^\s#]*)" % _COMMENT.pattern)
+
+
+def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The integer header token after byte offset pos, and where it ends."""
+    m = _HEADER_TOKEN.match(data, pos)
+    token, start = m[1], m.start(1)
+    if not token:
+        raise PgmParseError(f"truncated header: expected {what} at byte offset {start}")
+    try:
+        return int(token), m.end()
+    except ValueError:
+        raise PgmParseError(
+            f"expected integer {what} at byte offset {start}, got {token!r}"
+        ) from None
 
 
 def _p2_pixels(data: bytes, start: int, count: int) -> np.ndarray:
@@ -178,15 +148,12 @@ def read_pgm(data: bytes) -> GrayImage:
             f"got {bytes(data[:2])!r}"
         )
     magic = bytes(data[:2])
-    tok = _Tokenizer(data)
-    tok.pos = 2
-
-    width = tok.next_int("width")
-    height = tok.next_int("height")
+    width, pos = _header_int(data, 2, "width")
+    height, pos = _header_int(data, pos, "height")
     if width < 1 or height < 1:
         raise PgmParseError(f"invalid dimensions {width}x{height} in header")
-    maxval_offset = tok.pos
-    maxval = tok.next_int("maxval")
+    maxval_offset = pos
+    maxval, pos = _header_int(data, pos, "maxval")
     if maxval > 255:
         raise PgmParseError(
             f"maxval {maxval} unsupported (limit 255) at byte offset {maxval_offset}"
@@ -197,11 +164,11 @@ def read_pgm(data: bytes) -> GrayImage:
     count = width * height
     if magic == b"P5":
         # Exactly one whitespace byte separates maxval from the payload.
-        if tok.pos >= len(data) or data[tok.pos : tok.pos + 1] not in _WHITESPACE:
+        if not data[pos : pos + 1].isspace():
             raise PgmParseError(
-                f"expected single whitespace before payload at byte offset {tok.pos}"
+                f"expected single whitespace before payload at byte offset {pos}"
             )
-        payload_start = tok.pos + 1
+        payload_start = pos + 1
         payload = data[payload_start:]
         if len(payload) < count:
             raise PgmParseError(
@@ -217,14 +184,13 @@ def read_pgm(data: bytes) -> GrayImage:
     else:
         # Each pixel needs a digit and a separator, so the bytes left bound
         # the count before anything is allocated from the header's numbers.
-        room = (len(data) - tok.pos + 1) // 2
+        room = (len(data) - pos + 1) // 2
         if count > room:
             raise PgmParseError(
                 f"truncated pixel data: header asks for {count} pixels, the "
-                f"{len(data) - tok.pos} bytes after byte offset {tok.pos} "
-                f"hold at most {room}"
+                f"{len(data) - pos} bytes after byte offset {pos} hold at most {room}"
             )
-        values = _p2_pixels(data, tok.pos, count)
+        values = _p2_pixels(data, pos, count)
         if values.min(initial=0) < 0:
             bad = int(np.argmax(values < 0))
             raise PgmParseError(f"pixel {bad} has negative value {int(values[bad])}")
@@ -281,10 +247,6 @@ def block_downsample(pixels: np.ndarray, block: int) -> np.ndarray:
     Output shape is (h // block, w // block); trailing rows/columns that do
     not fill a whole tile are discarded.
     """
-    if block < 1:
-        raise ValueError(f"block must be a positive integer, got {block}")
     out_h, out_w = pixels.shape[0] // block, pixels.shape[1] // block
-    if not out_h or not out_w:
-        raise ValueError(f"array {pixels.shape} smaller than block {block}")
     tiles = pixels[: out_h * block, : out_w * block].astype(np.float64)
     return round_half_away(tiles.reshape(out_h, block, out_w, block).mean(axis=(1, 3)))

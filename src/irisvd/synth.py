@@ -16,7 +16,7 @@ class separability is the requirement.
 
 The texture is evaluated only on the iris band (r_p < distance <= r_i), a
 quarter of a 320x280 canvas; the distance only on the bounding box of the
-eye.  The bytes are the same as when both covered the whole canvas: each
+iris.  The bytes are the same as when both covered the whole canvas: each
 band pixel goes through the same arithmetic, its texture terms are summed
 in the same order (radial, angular, cross), and the noise is still drawn
 for the whole canvas before the eyelashes, so the sample stream advances as
@@ -81,14 +81,20 @@ class EyeSpec:
             raise ValueError(
                 f"pupil_radius must be >= 29, got {self.pupil_radius}"
             )
-        if not self.pupil_radius < self.iris_radius:
-            raise ValueError("pupil_radius must be below iris_radius")
+        # generate_eye moves the centre and the iris radius by up to 2 px and
+        # the pupil radius by up to 1, so these checks hold for every
+        # geometry it can draw, not only for the nominal one.
+        if not self.iris_radius - 2 > self.pupil_radius + 1:
+            raise ValueError(
+                f"pupil_radius {self.pupil_radius} must stay below iris_radius "
+                f"{self.iris_radius} by more than 3 once jittered"
+            )
         cx, cy = self.pupil_center
         border = min(cx, cy, self.width - 1 - cx, self.height - 1 - cy)
-        if not self.iris_radius < border:
+        if not self.iris_radius + 4 < border:
             raise ValueError(
-                f"iris_radius {self.iris_radius} reaches the border "
-                f"(min center distance {border})"
+                f"iris_radius {self.iris_radius} reaches the border once jittered "
+                f"(reach {self.iris_radius} + 4, min center distance {border})"
             )
         if not 0 <= self.pupil_value <= 40:
             raise ValueError(f"pupil_value must be in [0, 40], got {self.pupil_value}")
@@ -183,13 +189,11 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     r_p = max(29.0, spec.pupil_radius + int(rng.integers(-1, 2)))
     r_i = spec.iris_radius + int(rng.integers(-2, 3))
 
-    # Only the bounding box of the eye is measured, and only its band pixels
+    # Only the bounding box of the iris is measured, and only its band pixels
     # are textured: each pixel's arithmetic is the same as on the whole
-    # canvas.  The jitter can make r_p exceed r_i, and then the band is empty.
-    reach = max(r_p, r_i)
-    top, left = max(0, math.floor(cy - reach)), max(0, math.floor(cx - reach))
-    bottom = min(spec.height, math.floor(cy + reach) + 1)
-    right = min(spec.width, math.floor(cx + reach) + 1)
+    # canvas.  EyeSpec keeps the box inside the canvas and r_i above r_p.
+    top, bottom = math.floor(cy - r_i), math.floor(cy + r_i) + 1
+    left, right = math.floor(cx - r_i), math.floor(cx + r_i) + 1
     ygrid, xgrid = np.mgrid[top:bottom, left:right]
     dx, dy = xgrid - cx, ygrid - cy
     dist = np.hypot(dx, dy)

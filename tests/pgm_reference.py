@@ -1,18 +1,64 @@
-"""Reference PGM reader and writer: read_pgm as it was when a P2 body was
-parsed one _Tokenizer call per pixel, and write_pgm as it was when a P2 row
-was wrapped one pixel at a time.
+"""Reference PGM reader and writer: read_pgm as it was when the header and
+a P2 body were parsed one _Tokenizer call per token, and write_pgm as it was
+when a P2 row was wrapped one pixel at a time.
 
-Kept verbatim so the one-pass P2 body scan can be held to the reader: the
-same arrays for every input it accepts, and the same PgmParseError message,
-byte offset included, for every input it rejects.  The whole-row P2 writer
-is held to the writer byte for byte.
+Kept verbatim so the header regex and the one-pass P2 body scan can be held
+to the reader: the same arrays for every input it accepts, and the same
+PgmParseError message, byte offset included, for every input it rejects.
+The whole-row P2 writer is held to the writer byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from irisvd.image_io import _WHITESPACE, GrayImage, PgmParseError, _Tokenizer
+from irisvd.image_io import GrayImage, PgmParseError
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+class _Tokenizer:
+    """Pulls whitespace-separated header tokens, skipping '#' comments."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def skip_separators(self):
+        d, n = self.data, len(self.data)
+        while self.pos < n:
+            b = self.data[self.pos : self.pos + 1]
+            if b in (b"#",):
+                while self.pos < n and d[self.pos : self.pos + 1] not in (b"\n", b"\r"):
+                    self.pos += 1
+            elif b and b in _WHITESPACE:
+                self.pos += 1
+            else:
+                return
+
+    def next_token(self, what: str) -> tuple[bytes, int]:
+        self.skip_separators()
+        if self.pos >= len(self.data):
+            raise PgmParseError(
+                f"truncated header: expected {what} at byte offset {self.pos}"
+            )
+        start = self.pos
+        d, n = self.data, len(self.data)
+        while self.pos < n:
+            b = d[self.pos : self.pos + 1]
+            if b in _WHITESPACE or b == b"#":
+                break
+            self.pos += 1
+        return d[start : self.pos], start
+
+    def next_int(self, what: str) -> int:
+        token, offset = self.next_token(what)
+        try:
+            return int(token)
+        except ValueError:
+            raise PgmParseError(
+                f"expected integer {what} at byte offset {offset}, got {token!r}"
+            ) from None
 
 
 def reference_read_pgm(data: bytes) -> GrayImage:

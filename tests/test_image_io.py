@@ -246,6 +246,81 @@ class TestP2AgainstReference:
         assert_reads_like_reference(data)
 
 
+@st.composite
+def p5_bytes(draw):
+    """A small P5 file, maybe with header comments, after up to three edits
+    to its header bytes."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    payload = draw(st.binary(min_size=w * h, max_size=w * h))
+    header = bytearray(f"P5\n{w} {h}\n255\n".encode())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(2, len(header) - 1))
+        header[at:at] = draw(st.sampled_from([b"#c\n", b"# x 1\r", b"#", b" #9#\n"]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(2, len(header) - 1))  # the magic stays
+        byte = draw(st.one_of(st.sampled_from(_P2_SPECIAL + b"\x00"), st.integers(0, 255)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "replace":
+            header[at] = byte
+        elif op == "insert":
+            header.insert(at, byte)
+        else:
+            del header[at]
+    return bytes(header) + payload
+
+
+class TestP5AgainstReference:
+    """The header regex against the per-byte tokenizer it replaced
+    (tests/pgm_reference.py), on P5 files: same pixels, same errors and
+    byte offsets."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5 2 1 255\n\x01\x02",
+            b"P5 2#c\n1 255\n\x01\x02",
+            b"P5 2 1#c\n255\n\x01\x02",
+            b"P5 2 1 2#c\n55\n\x01\x02",
+            b"P5 2 1 255#c\n\x01\x02",
+            b"P5 2 1 255 #c\n\x01\x02",
+            b"P5#c\n2 1 255\n\x01\x02",
+            b"P5\r# c\r2 1\r255\r\x01\x02",
+            b"P5 # c\r\n2 1 # d\r255\n\x01\x02",
+            b"P5\x0b2\x0c1\x0b255\x0c\x01\x02",
+            b"P5 +2 1 255\n\x01\x02",
+            b"P5 1_0 1 255\n" + bytes(range(10)),
+            b"P5 2\x00 1 255\n\x01\x02",
+            b"P5 \x002 1 255\n\x01\x02",
+            b"P5 \x1c2 1 255\n\x01\x02",
+            b"P5 2\x851 255\n\x01\x02",
+            b"P5 2 1 -255\n\x01\x02",
+            b"P5 2 1 0\n\x01\x02",
+            b"P5 0 1 255\n",
+            b"P5 2 1 9\n\x01\x0a",
+            b"P5 3 1 255\n#\n1",
+            b"P5 2 1 255\n#a",
+            b"P5 2 1 255\n\n\x01",
+            b"P5 1 1 255\n\n\x05",
+            b"P5 1 1 255\n",
+            b"P5 2 1 255",
+            b"P5 2 1",
+            b"P5 #only a comment",
+        ],
+    )
+    def test_cases(self, data):
+        assert_reads_like_reference(data)
+
+    def test_truncated_at_each_byte(self):
+        data = b"P5\n# c\r3 2 # d\n255\n#\n\x00\t 7"
+        for end in range(len(data) + 1):
+            assert_reads_like_reference(data[:end])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(p5_bytes())
+    def test_mutated_header_bytes(self, data):
+        assert_reads_like_reference(data)
+
+
 class TestWritePgm:
     def test_minimal_binary(self):
         img = GrayImage(np.zeros((1, 1)))
@@ -299,10 +374,6 @@ class TestBlockDownsample:
     def test_discards_partial_tiles(self):
         out = block_downsample(np.zeros((7, 8), dtype=np.uint8), 3)
         assert out.shape == (2, 2)
-
-    def test_zero_block_rejected(self):
-        with pytest.raises(ValueError):
-            block_downsample(np.zeros((3, 3), dtype=np.uint8), 0)
 
     def test_output_within_tile_bounds(self):
         rng = np.random.default_rng(21)

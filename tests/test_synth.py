@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,54 @@ class TestEyeSpecValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seeds"):
             EyeSpec(class_seed=-1, sample_seed=0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(pupil_radius=30.0, iris_radius=33.0), "below iris_radius"),
+            (dict(pupil_center=(94.0, 140.0)), "border"),
+            (dict(pupil_center=(160.0, 94.0)), "border"),
+            (dict(width=255), "border"),
+            (dict(height=235), "border"),
+        ],
+        ids=["iris", "left", "top", "right", "bottom"],
+    )
+    def test_rejects_jittered_geometry_on_the_boundary(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            clean_spec(**change)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from(["iris", "left", "top", "right", "bottom"]),
+        st.floats(0.001, 1.0),
+    )
+    def test_rejects_geometry_just_outside(self, data, side, miss):
+        spec = data.draw(eye_specs())
+        (cx, cy), r_i = spec.pupil_center, spec.iris_radius
+        change = {
+            "iris": dict(iris_radius=spec.pupil_radius + 3 - miss),
+            "left": dict(pupil_center=(r_i + 4 - miss, cy)),
+            "top": dict(pupil_center=(cx, r_i + 4 - miss)),
+            "right": dict(width=math.floor(cx + r_i + 5 - miss)),
+            "bottom": dict(height=math.floor(cy + r_i + 5 - miss)),
+        }[side]
+        message = "below iris_radius" if side == "iris" else "border"
+        with pytest.raises(ValueError, match=message):
+            replace(spec, **change)
+
+    def test_tightest_spec_renders_at_every_jitter(self):
+        # The iris 3.01 px wider than the pupil and 4.01 px from the left and
+        # top borders: the jitter's extremes leave a thin band, in the canvas.
+        lefts = []
+        for sample in range(100):
+            _, _, bounds = generate_eye(
+                EyeSpec(class_seed=5, sample_seed=sample, width=74, height=74,
+                        pupil_center=(36.02, 36.02), pupil_radius=29.0,
+                        iris_radius=32.01, eyelash_count=0)
+            )
+            lefts.append(bounds.left_x)
+        assert min(lefts) == 0
 
 
 class TestGenerateEye:
@@ -166,16 +215,18 @@ def render(generate, spec):
 
 @st.composite
 def eye_specs(draw):
-    """Any spec EyeSpec accepts, on a canvas of at most about 250x250."""
+    """Any spec EyeSpec accepts, on a canvas of at most about 240x240: the
+    iris more than 3 px wider than the pupil and more than 4 px from each
+    border, the most the jitter can take from either."""
     r_p = draw(st.floats(29.0, 45.0))
-    r_i = r_p + draw(st.floats(1.0, 50.0))
-    cx = r_i + draw(st.floats(0.01, 20.0))
-    cy = r_i + draw(st.floats(0.01, 20.0))
+    r_i = r_p + draw(st.floats(3.01, 50.0))
+    cx = r_i + draw(st.floats(4.01, 24.0))
+    cy = r_i + draw(st.floats(4.01, 24.0))
     return EyeSpec(
         class_seed=draw(st.integers(0, 2**64 - 1)),
         sample_seed=draw(st.integers(0, 2**63 - 1)),
-        width=math.floor(cx + r_i) + 2 + draw(st.integers(0, 20)),
-        height=math.floor(cy + r_i) + 2 + draw(st.integers(0, 20)),
+        width=math.ceil(cx + r_i) + 6 + draw(st.integers(0, 20)),
+        height=math.ceil(cy + r_i) + 6 + draw(st.integers(0, 20)),
         pupil_center=(cx, cy),
         pupil_radius=r_p,
         iris_radius=r_i,
@@ -206,24 +257,24 @@ class TestSameBytesAsReference:
                     pupil_radius=29.0, eyelash_count=0),
             EyeSpec(class_seed=23, sample_seed=3, pupil_center=(141.37, 152.5),
                     pupil_radius=31.5, iris_radius=74.25),
-            # The jitter makes this pupil wider than the iris.
-            EyeSpec(class_seed=3353, sample_seed=1, width=63, height=63,
-                    pupil_center=(31.0, 31.0), pupil_radius=29.0, iris_radius=30.0,
-                    noise_amplitude=0, eyelash_count=0),
         ],
         ids=lambda spec: f"{spec.class_seed}-{spec.sample_seed}",
     )
     def test_specs(self, spec):
         assert render(generate_eye, spec) == render(reference_generate_eye, spec)
 
+    def test_jittered_pupil_wider_than_iris_rejected(self):
+        # Class seed 3353 drew r_p 29 and r_i 28 from these radii, an eye
+        # with no iris band.
+        with pytest.raises(ValueError, match="below iris_radius"):
+            EyeSpec(class_seed=3353, sample_seed=1, width=63, height=63,
+                    pupil_center=(31.0, 31.0), pupil_radius=29.0, iris_radius=30.0,
+                    noise_amplitude=0, eyelash_count=0)
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(eye_specs())
     def test_any_valid_spec(self, spec):
-        # When the jitter makes r_i equal r_p, the reference divides by zero
-        # on every pixel for a band that is empty.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = render(reference_generate_eye, spec)
-        assert render(generate_eye, spec) == want
+        assert render(generate_eye, spec) == render(reference_generate_eye, spec)
 
 
 class TestGenerateDataset:
