@@ -4,7 +4,8 @@ One executable with subcommands; every knob is a flag whose default is the
 method's published constant, so running with no flags gives the faithful
 configuration.  A `--config` file of `key = value` lines (dotted keys,
 `#` comments) slots between the defaults and the flags: defaults < config
-< flags.  Machine-parseable results go to stdout, diagnostics to stderr.
+< flags.  A knob's key and flag are one row of `KNOBS` and set the same value.
+Machine-parseable results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 full success; 1 runtime failures; 2 usage errors and a bad
 config file or value, dataset directory or model file (or its `.labels`
@@ -19,6 +20,7 @@ import argparse
 import inspect
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,30 +85,81 @@ def _config_optional_int(text: str):
     return None if text.lower() == "none" else int(text)
 
 
-# Every design-decision knob, addressable by dotted name in a config file.
-CONFIG_KEYS = {
-    "segmentation.threshold": int,
-    "segmentation.min_area": int,
-    "boundary.window": int,
-    "boundary.jump": int,
-    "boundary.annulus_width": _config_optional_int,
-    "train.lr0": float,
-    "train.lr_inc": float,
-    "train.lr_dec": float,
-    "train.max_perf_inc": float,
-    "train.max_epochs": int,
-    "train.mse_goal": float,
-    "train.min_grad": float,
-    "train.seed": int,
-    "train.dim": int,
-    "synth.samples": int,
-    "synth.seed": int,
-    "experiment.class_counts": _config_int_list,
-    "experiment.dims": _config_int_list,
-    "experiment.epoch_cap": _config_optional_int,
-    "experiment.n_train": int,
-    "experiment.base_seed": int,
-}
+def _shown(value) -> str:
+    """A default as the help text writes it: 5e-7, 3,10,20."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return f"{value:g}".replace("e-0", "e-")
+
+
+class Knob(NamedTuple):
+    """One design-decision knob: its config key, its flag and where both go."""
+
+    key: str  # dotted config key; its prefix names the callee
+    flag: str
+    parser: str  # "pipe", "tr" or the subcommand whose parser holds the flag
+    keyword: str  # keyword of the config object or call the value goes to
+    type: Callable
+    help: str
+    parse: Callable | None = None  # config-file parser, where it is not `type`
+
+
+_SYNTH = inspect.signature(generate_dataset).parameters
+
+# Callees by key prefix: segmentation -> PipelineConfig, boundary -> EdgeConfig,
+# train -> TrainConfig (train.dim is train's k), synth -> generate_dataset,
+# experiment -> GridConfig.  Flags of one parser are added in this order.
+KNOBS = (
+    Knob("segmentation.threshold", "--threshold", "pipe", "threshold", int,
+         f"dark threshold (default {PipelineConfig.threshold})"),
+    Knob("segmentation.min_area", "--min-area", "pipe", "min_pupil_area", int,
+         f"minimum pupil area in pixels (default {PipelineConfig.min_pupil_area})"),
+    Knob("boundary.window", "--window", "pipe", "window", int,
+         f"edge confirmation window (default {EdgeConfig.window})"),
+    Knob("boundary.jump", "--jump", "pipe", "jump", int,
+         f"edge intensity jump (default {EdgeConfig.jump})"),
+    Knob("boundary.annulus_width", "--annulus-width", "pipe", "default_annulus_width", int,
+         "fallback iris annulus width in pixels (default: twice the larger pupil radius)",
+         _config_optional_int),
+    Knob("train.lr0", "--lr", "tr", "lr0", float,
+         f"initial learning rate (default {TrainConfig.lr0})"),
+    Knob("train.lr_inc", "--lr-inc", "tr", "lr_inc", float,
+         f"rate increment on improvement (default {TrainConfig.lr_inc})"),
+    Knob("train.lr_dec", "--lr-dec", "tr", "lr_dec", float,
+         f"rate decrement on rejection (default {TrainConfig.lr_dec})"),
+    Knob("train.max_perf_inc", "--max-perf-inc", "tr", "max_perf_inc", float,
+         f"worst accepted error ratio (default {TrainConfig.max_perf_inc})"),
+    Knob("train.mse_goal", "--mse-goal", "tr", "mse_goal", float,
+         f"error goal (default {_shown(TrainConfig.mse_goal)})"),
+    Knob("train.min_grad", "--min-grad", "tr", "min_grad", float,
+         f"gradient floor (default {_shown(TrainConfig.min_grad)})"),
+    Knob("train.dim", "--dim", "train", "k", int,
+         f"feature dimension k (default {DEFAULT_DIM})"),
+    Knob("train.max_epochs", "--epochs", "train", "max_epochs", int,
+         f"epoch cap (default {TrainConfig.max_epochs})"),
+    Knob("train.seed", "--seed", "train", "seed", int,
+         f"weight init seed (default {TrainConfig.seed})"),
+    Knob("synth.samples", "--samples", "synth", "samples_per_class", _positive_int,
+         f"samples per class (default {_SYNTH['samples_per_class'].default})", int),
+    Knob("synth.seed", "--seed", "synth", "base_seed", int,
+         f"base seed (default {_SYNTH['base_seed'].default})"),
+    Knob("experiment.class_counts", "--classes", "experiment", "class_counts",
+         _parse_int_list,
+         f"comma-separated class counts (default {_shown(GridConfig.class_counts)})",
+         _config_int_list),
+    Knob("experiment.dims", "--dims", "experiment", "dims", _parse_int_list,
+         f"comma-separated dimensions (default {_shown(GridConfig.dims)})",
+         _config_int_list),
+    Knob("experiment.epoch_cap", "--epochs", "experiment", "epoch_cap", int,
+         f"per-cell epoch cap (default {GridConfig.epoch_cap})", _config_optional_int),
+    Knob("experiment.base_seed", "--seed", "experiment", "base_seed", int,
+         f"base seed for per-cell seeding (default {GridConfig.base_seed})"),
+    Knob("experiment.n_train", "--n-train", "experiment", "n_train", int,
+         f"training samples per class (default {GridConfig.n_train})"),
+)
+
+# Every knob, addressable by dotted name in a config file.
+CONFIG_KEYS = {knob.key: knob.parse or knob.type for knob in KNOBS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -149,52 +202,21 @@ def load_config(args) -> dict:
     return parse_config_text(_read_utf8(p, ConfigError))
 
 
-# Keyword of a config object or call -> (flag attribute, config key).
-PIPELINE_KNOBS = {
-    "threshold": ("threshold", "segmentation.threshold"),
-    "min_pupil_area": ("min_area", "segmentation.min_area"),
-}
-EDGE_KNOBS = {
-    "window": ("window", "boundary.window"),
-    "jump": ("jump", "boundary.jump"),
-    "default_annulus_width": ("annulus_width", "boundary.annulus_width"),
-}
-TRAIN_KNOBS = {
-    "lr0": ("lr", "train.lr0"),
-    "lr_inc": ("lr_inc", "train.lr_inc"),
-    "lr_dec": ("lr_dec", "train.lr_dec"),
-    "max_perf_inc": ("max_perf_inc", "train.max_perf_inc"),
-    "max_epochs": ("epochs", "train.max_epochs"),
-    "mse_goal": ("mse_goal", "train.mse_goal"),
-    "min_grad": ("min_grad", "train.min_grad"),
-}
-GRID_KNOBS = {
-    "class_counts": ("classes", "experiment.class_counts"),
-    "dims": ("dims", "experiment.dims"),
-    "n_train": ("n_train", "experiment.n_train"),
-    "base_seed": ("seed", "experiment.base_seed"),
-    "epoch_cap": ("epochs", "experiment.epoch_cap"),
-}
-SYNTH_KNOBS = {
-    "samples_per_class": ("samples", "synth.samples"),
-    "base_seed": ("seed", "synth.seed"),
-}
-
-
-def _knobs(args, cfg: dict, knobs: dict) -> dict:
-    """Keyword arguments for the knobs that a flag or the config file set.
+def _knobs(args, cfg: dict, prefix: str) -> dict:
+    """Keyword arguments for the knobs under prefix that a flag or the config file set.
 
     A flag wins over the config file; a knob set by neither is left out, so
     the callee's own default applies.  An explicit `none` in the config
     file counts as set.
     """
     out = {}
-    for name, (attr, dotted) in knobs.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            out[name] = flag
-        elif dotted in cfg:
-            out[name] = cfg[dotted]
+    for knob in KNOBS:
+        if knob.key.startswith(prefix):
+            flag = getattr(args, knob.key, None)
+            if flag is not None:
+                out[knob.keyword] = flag
+            elif knob.key in cfg:
+                out[knob.keyword] = cfg[knob.key]
     return out
 
 
@@ -209,13 +231,9 @@ def _config(cls, **knobs):
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
     return _config(
         PipelineConfig,
-        **_knobs(args, cfg, PIPELINE_KNOBS),
-        edge=_config(EdgeConfig, **_knobs(args, cfg, EDGE_KNOBS)),
+        **_knobs(args, cfg, "segmentation."),
+        edge=_config(EdgeConfig, **_knobs(args, cfg, "boundary.")),
     )
-
-
-def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
-    return _config(TrainConfig, **_knobs(args, cfg, TRAIN_KNOBS), seed=seed)
 
 
 def _check_dim(k: int) -> int:
@@ -228,8 +246,11 @@ def _check_dim(k: int) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args)
+    knobs = _knobs(args, cfg, "synth.")
+    if knobs.get("samples_per_class", 1) < 1:
+        raise ConfigError(f"samples_per_class must be >= 1, got {knobs['samples_per_class']}")
     out = Path(args.out)
-    files = generate_dataset(args.classes, out_dir=out, **_knobs(args, cfg, SYNTH_KNOBS))
+    files = generate_dataset(args.classes, out_dir=out, **knobs)
     if args.ascii_pgm:
         for f in files:
             write_pgm_file(f, read_pgm_file(f), ascii=True)
@@ -278,9 +299,9 @@ def _labels_path(model_path: Path) -> Path:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     pcfg = _pipeline_config(args, cfg)
-    own = _knobs(args, cfg, {"seed": ("seed", "train.seed"), "k": ("dim", "train.dim")})
-    tcfg = _train_config(args, cfg, own.get("seed", TrainConfig.seed))
-    k = _check_dim(own.get("k", DEFAULT_DIM))
+    knobs = _knobs(args, cfg, "train.")
+    k = _check_dim(knobs.pop("k", DEFAULT_DIM))
+    tcfg = _config(TrainConfig, **knobs)
     if args.n_train < 1:
         raise ConfigError(f"n_train must be >= 1, got {args.n_train}")
 
@@ -315,9 +336,7 @@ def cmd_classify(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    k = _check_dim(args.dim if args.dim is not None else net.shape.n_in)
-    if k != net.shape.n_in:
-        raise ConfigError(f"dimension {k} does not fit a model with {net.shape.n_in} inputs")
+    k = _check_dim(net.shape.n_in)
 
     print(CLASSIFY_HEADER)
     failures = 0
@@ -339,8 +358,10 @@ def cmd_classify(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_config(args)
     pcfg = _pipeline_config(args, cfg)
-    tcfg = _train_config(args, cfg, seed=TrainConfig.seed)
-    grid = _config(GridConfig, **_knobs(args, cfg, GRID_KNOBS))
+    # train.seed and train.dim are train's own: the grid seeds and sizes each cell.
+    knobs = _knobs(args, cfg, "train.")
+    tcfg = _config(TrainConfig, **{n: v for n, v in knobs.items() if n not in ("seed", "k")})
+    grid = _config(GridConfig, **_knobs(args, cfg, "experiment."))
     for k in grid.dims:
         _check_dim(k)
 
@@ -365,15 +386,15 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _shown(value) -> str:
-    """A default as the help text writes it: 5e-7, 3,10,20."""
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return f"{value:g}".replace("e-0", "e-")
+def _add_knobs(parser: argparse.ArgumentParser, where: str) -> None:
+    """Add the flags of the knobs whose flag lives on parser `where`."""
+    for knob in KNOBS:
+        if knob.parser == where:
+            parser.add_argument(knob.flag, dest=knob.key, type=knob.type, help=knob.help,
+                                metavar=knob.flag[2:].replace("-", "_").upper())
 
 
 def build_parser() -> argparse.ArgumentParser:
-    synth = {n: p.default for n, p in inspect.signature(generate_dataset).parameters.items()}
     parser = argparse.ArgumentParser(
         prog="irisvd",
         description="Iris recognition via singular-value features and a "
@@ -382,50 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config",
-        default=None,
-        help="config file of 'key = value' lines with dotted keys",
-    )
-
+    common.add_argument("--config",
+                        help="config file of 'key = value' lines with dotted keys")
     pipe = argparse.ArgumentParser(add_help=False)
-    pipe.add_argument("--threshold", type=int, default=None,
-                      help=f"dark threshold (default {PipelineConfig.threshold})")
-    pipe.add_argument("--min-area", dest="min_area", type=int, default=None,
-                      help="minimum pupil area in pixels "
-                      f"(default {PipelineConfig.min_pupil_area})")
-    pipe.add_argument("--window", type=int, default=None,
-                      help=f"edge confirmation window (default {EdgeConfig.window})")
-    pipe.add_argument("--jump", type=int, default=None,
-                      help=f"edge intensity jump (default {EdgeConfig.jump})")
-    pipe.add_argument("--annulus-width", dest="annulus_width", type=int,
-                      default=None,
-                      help="fallback iris annulus width in pixels "
-                      "(default: twice the larger pupil radius)")
-
+    _add_knobs(pipe, "pipe")
     tr = argparse.ArgumentParser(add_help=False)
-    tr.add_argument("--lr", type=float, default=None,
-                    help=f"initial learning rate (default {TrainConfig.lr0})")
-    tr.add_argument("--lr-inc", dest="lr_inc", type=float, default=None,
-                    help=f"rate increment on improvement (default {TrainConfig.lr_inc})")
-    tr.add_argument("--lr-dec", dest="lr_dec", type=float, default=None,
-                    help=f"rate decrement on rejection (default {TrainConfig.lr_dec})")
-    tr.add_argument("--max-perf-inc", dest="max_perf_inc", type=float,
-                    default=None,
-                    help=f"worst accepted error ratio (default {TrainConfig.max_perf_inc})")
-    tr.add_argument("--mse-goal", dest="mse_goal", type=float, default=None,
-                    help=f"error goal (default {_shown(TrainConfig.mse_goal)})")
-    tr.add_argument("--min-grad", dest="min_grad", type=float, default=None,
-                    help=f"gradient floor (default {_shown(TrainConfig.min_grad)})")
+    _add_knobs(tr, "tr")
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic eye dataset")
     p.add_argument("--classes", type=_positive_int, required=True,
                    help="number of classes")
-    p.add_argument("--samples", type=_positive_int, default=None,
-                   help=f"samples per class (default {synth['samples_per_class']})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"base seed (default {synth['base_seed']})")
+    _add_knobs(p, "synth")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ascii-pgm", dest="ascii_pgm", action="store_true",
                    help="write ASCII (P2) instead of binary PGMs")
@@ -445,12 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common, pipe, tr],
                        help="train a classifier on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--dim", type=int, default=None,
-                   help=f"feature dimension k (default {DEFAULT_DIM})")
-    p.add_argument("--epochs", type=int, default=None,
-                   help=f"epoch cap (default {TrainConfig.max_epochs})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"weight init seed (default {TrainConfig.seed})")
+    _add_knobs(p, "train")
     p.add_argument("--n-train", dest="n_train", type=int, default=DEFAULT_N_TRAIN,
                    help="training samples per class (default %(default)s)")
     p.add_argument("--out", default="model.txt",
@@ -460,25 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common, pipe],
                        help="classify eye images with a trained model")
     p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--dim", type=int, default=None,
-                   help="feature dimension (default: the model's input size)")
     p.add_argument("images", nargs="+", help="input PGM files")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("experiment", parents=[common, pipe, tr],
                        help="run the classes-by-dimension grid and emit CSV")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--classes", type=_parse_int_list, default=None,
-                   help="comma-separated class counts "
-                   f"(default {_shown(GridConfig.class_counts)})")
-    p.add_argument("--dims", type=_parse_int_list, default=None,
-                   help=f"comma-separated dimensions (default {_shown(GridConfig.dims)})")
-    p.add_argument("--epochs", type=int, default=None,
-                   help=f"per-cell epoch cap (default {GridConfig.epoch_cap})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"base seed for per-cell seeding (default {GridConfig.base_seed})")
-    p.add_argument("--n-train", dest="n_train", type=int, default=None,
-                   help=f"training samples per class (default {GridConfig.n_train})")
+    _add_knobs(p, "experiment")
     p.add_argument("--out", default=None, help="also write the CSV here")
     p.set_defaults(fn=cmd_experiment)
 

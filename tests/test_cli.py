@@ -1,12 +1,13 @@
 """End-to-end command-line tests driving main() in process."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irisvd import cli, harness, segmentation, synth
+from irisvd import cli, ebp, harness, segmentation, synth
 from irisvd.ebp import ModelFormatError, TrainConfig
 from irisvd.image_io import GrayImage, read_pgm_file, write_pgm_file
 from irisvd.iris_boundary import IrisBounds, mark_bounds
@@ -204,15 +205,15 @@ class TestClassify:
             assert 0.0 < float(confidence) <= 1.0
 
     def test_dimension_mismatch(self, eye_dir, model_file, monkeypatch, capsys):
+        # k is the model's input count: there is no flag to ask for another.
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
         reads = []
         monkeypatch.setattr(harness, "read_pgm_file", reads.append)
-        code = cli.main(
-            ["classify", "--model", str(model_file), "--dim", "3", img]
-        )
-        assert (code, reads) == (2, [])
+        with pytest.raises(SystemExit) as info:
+            cli.main(["classify", "--model", str(model_file), "--dim", "3", img])
+        assert (info.value.code, reads) == (2, [])
         out, err = capsys.readouterr()
-        assert out == "" and "dimension 3" in err
+        assert out == "" and "unrecognized arguments: --dim" in err
 
     def test_undecodable_labels_is_model_error(
         self, eye_dir, model_file, tmp_path, monkeypatch, capsys
@@ -288,6 +289,42 @@ class TestExperiment:
         assert code == 2
 
 
+# One in-range value per knob, unlike its default: config key, flag, value,
+# and the subcommands whose flag it is.
+KNOB_VALUES = [
+    ("segmentation.threshold", "--threshold", "60", ("segment", "experiment")),
+    ("segmentation.min_area", "--min-area", "1200", ("segment", "experiment")),
+    ("boundary.window", "--window", "3", ("segment", "experiment")),
+    ("boundary.jump", "--jump", "20", ("segment", "experiment")),
+    ("boundary.annulus_width", "--annulus-width", "30", ("segment", "experiment")),
+    ("train.lr0", "--lr", "0.1", ("train", "experiment")),
+    ("train.lr_inc", "--lr-inc", "1.1", ("train", "experiment")),
+    ("train.lr_dec", "--lr-dec", "0.5", ("train", "experiment")),
+    ("train.max_perf_inc", "--max-perf-inc", "1.2", ("train", "experiment")),
+    ("train.mse_goal", "--mse-goal", "1e-4", ("train", "experiment")),
+    ("train.min_grad", "--min-grad", "1e-7", ("train", "experiment")),
+    ("train.max_epochs", "--epochs", "300", ("train",)),
+    ("train.seed", "--seed", "3", ("train",)),
+    ("train.dim", "--dim", "7", ("train",)),
+    ("synth.samples", "--samples", "3", ("synth",)),
+    ("synth.seed", "--seed", "4", ("synth",)),
+    ("experiment.class_counts", "--classes", "3,5", ("experiment",)),
+    ("experiment.dims", "--dims", "3,10", ("experiment",)),
+    ("experiment.epoch_cap", "--epochs", "300", ("experiment",)),
+    ("experiment.n_train", "--n-train", "4", ("experiment",)),
+    ("experiment.base_seed", "--seed", "2", ("experiment",)),
+]
+KNOB_CASES = [(key, c, flag, value) for key, flag, value, cs in KNOB_VALUES for c in cs]
+
+# Subcommand -> (the call in cli it hands its knobs to, what of that call to compare).
+KNOB_SPIES = {
+    "segment": ("segment_eye", lambda path, pcfg: pcfg),
+    "train": ("fit_classifier", lambda spectra, classes, train_set, k, cfg: (k, cfg)),
+    "synth": ("generate_dataset", lambda n_classes, **kwargs: kwargs),
+    "experiment": ("run_experiment", lambda ds, grid, cfg, pcfg: (grid, cfg, pcfg)),
+}
+
+
 class TestConfigFile:
     def test_unknown_key_rejected(self, eye_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -331,7 +368,7 @@ class TestConfigFile:
     def test_defaults_without_flags_or_config(self):
         args = cli.build_parser().parse_args(["train", "--data", "d"])
         assert cli._pipeline_config(args, {}) == harness.PipelineConfig()
-        assert cli._train_config(args, {}, seed=7) == TrainConfig(seed=7)
+        assert cli._knobs(args, {}, "train.") == {}
 
     @pytest.mark.parametrize(
         "config, grid",
@@ -360,6 +397,38 @@ class TestConfigFile:
             "pipeline": harness.PipelineConfig(),
         }
 
+    def test_knob_values_cover_every_config_key(self):
+        assert sorted(key for key, *_ in KNOB_VALUES) == sorted(cli.CONFIG_KEYS)
+
+    @pytest.mark.parametrize(
+        "key, command, flag, value", KNOB_CASES, ids=[f"{k}-{c}" for k, c, *_ in KNOB_CASES]
+    )
+    def test_flag_and_config_key_agree(
+        self, eye_dir, tmp_path, monkeypatch, capsys, key, command, flag, value
+    ):
+        name, view = KNOB_SPIES[command]
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(view(*args, **kwargs))
+            raise RuntimeError("spy")
+
+        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "_template_spectrum", lambda path, pcfg: np.zeros(40))
+        cfg = tmp_path / "knob.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        inputs = {
+            "segment": [str(sorted(eye_dir.glob("*.pgm"))[0])],
+            "synth": ["--classes", "2", "--out", str(out)],
+        }.get(command, ["--data", str(eye_dir), "--out", str(out)])
+        for argv in ([flag, value], ["--config", str(cfg)], []):
+            cli.main([command, *argv, *inputs])
+        capsys.readouterr()
+        by_flag, by_config, default = seen
+        assert by_flag == by_config != default
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flags, config",
         [
@@ -377,32 +446,42 @@ class TestConfigFile:
             ("train", ["--n-train", "0"], ""),
             ("train", ["--dim", "0"], ""),
             ("train", ["--dim", "41"], ""),
-            ("classify", ["--dim", "0"], ""),
+            ("classify", [], ""),
             ("experiment", ["--dims", "3,41"], ""),
+            ("synth", [], "synth.samples = 0\n"),
+            ("synth", [], "synth.samples = -3\n"),
         ],
         ids=[
             "empty_dims", "lr_inc_below_1", "threshold_300", "lr0_inf",
             "lr_inc_nan", "lr_dec_nan", "max_perf_inc_inf", "mse_goal_nan",
             "min_grad_nan", "lr_flag_inf", "n_train_negative", "n_train_0",
-            "train_dim_0", "train_dim_41", "classify_dim_0", "experiment_dim_41",
+            "train_dim_0", "train_dim_41", "classify_model_41", "experiment_dim_41",
+            "synth_samples_0", "synth_samples_negative",
         ],
     )
     def test_out_of_range_knob_is_config_error(
-        self, eye_dir, model_file, tmp_path, monkeypatch, capsys, command, flags, config
+        self, eye_dir, tmp_path, monkeypatch, capsys, command, flags, config
     ):
         cfg = tmp_path / "range.cfg"
         cfg.write_text(config)
         img = str(sorted(eye_dir.glob("*.pgm"))[0])
+        out = tmp_path / "out"
+        if command == "classify":
+            # One input more than a template has singular values.
+            net = ebp.init(ebp.MlpShape(41, ebp.default_hidden(41), 3), seed=0)
+            ebp.save_model(out, ebp.attach_scaling(net, [(0.0, 1.0)] * 41))
         inputs = {
             "segment": [img],
-            "classify": ["--model", str(model_file), img],
-        }.get(command, ["--data", str(eye_dir), "--out", str(tmp_path / "out")])
-        # Rejected before any image is read.
+            "classify": ["--model", str(out), img],
+            "synth": ["--classes", "2", "--out", str(out)],
+        }.get(command, ["--data", str(eye_dir), "--out", str(out)])
+        # Rejected before any image is read or any output written.
         reads = []
         monkeypatch.setattr(harness, "read_pgm_file", reads.append)
         code = cli.main([command, "--config", str(cfg), *flags, *inputs])
         assert (code, reads) == (2, [])
         assert "error:" in capsys.readouterr().err
+        assert out.exists() == (command == "classify")
 
     def test_undecodable_config_is_config_error(self, eye_dir, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -433,6 +512,15 @@ class TestConfigFile:
         )
         assert parsed["experiment.class_counts"] == (3, 4, 5)
         assert parsed["experiment.dims"] == (20,)
+
+
+class TestReadme:
+    def test_config_key_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| Key | Flag |", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)`", table, flags=re.M)
+        assert sorted(key for key, _ in rows) == sorted(cli.CONFIG_KEYS)
+        assert dict(rows) == {knob.key: knob.flag for knob in cli.KNOBS}
 
 
 class TestHelp:
