@@ -17,6 +17,7 @@ stage, the rest are processed, and the run exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from pathlib import Path
@@ -394,7 +395,15 @@ def _add_knobs(parser: argparse.ArgumentParser, where: str) -> None:
                                 metavar=knob.flag[2:].replace("-", "_").upper())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process.
+
+    Parsing keeps no state between calls, so in-process callers of `main`
+    share one parser; a one-shot shell run still builds it once.  The
+    subcommands' `cmd_*` functions are bound here, so patching one after
+    the first call has no effect.
+    """
     parser = argparse.ArgumentParser(
         prog="irisvd",
         description="Iris recognition via singular-value features and a "

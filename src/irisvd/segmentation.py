@@ -3,11 +3,11 @@
 Dark pixels are thresholded to a mask, a plain 2-D bool array, and
 8-connected regions are labelled by the run-based two-scan algorithm of He,
 Chao & Suzuki (IEEE TIP 2008): every run of True in the mask is found in one
-vectorised pass, runs in consecutive rows that touch are merged through a
-union-find, and each region keeps its pixel coordinates as arrays.  Regions
-smaller than the minimum pupil area (eyelashes) are cleared, and the
-surviving largest region yields the pupil centroid and its
-horizontal/vertical radii.
+vectorised pass, runs in consecutive rows that touch are merged by vectorised
+min-label hooking and pointer jumping (Shiloach & Vishkin 1982), and each
+region keeps its pixel coordinates as arrays.  Regions smaller than the
+minimum pupil area (eyelashes) are cleared, and the surviving largest region
+yields the pupil centroid and its horizontal/vertical radii.
 
 Coordinates are (x, y) with origin top-left, x rightward, y downward.
 """
@@ -86,22 +86,22 @@ def label_components_8(mask: np.ndarray) -> list[Region]:
     lo = np.searchsorted(end, start - (w + 1))
     hi = np.searchsorted(start, end - (w + 1), side="right")
 
-    parent = list(range(start.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, (first, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
-        for j in range(first, stop):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    # Edge e joins run src[e] to run dst[e] of the row above.  Each round
+    # hooks every root to the smallest root beside it, then jumps pointers
+    # until each run points at its root (Shiloach & Vishkin 1982).
+    counts = hi - lo
+    src = np.repeat(np.arange(start.size), counts)
+    dst = np.arange(src.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    root = np.arange(start.size)
+    # Parents only decrease and each round lowers at least one root, so there
+    # are at most runs - 1 rounds.
+    while not np.array_equal(a := root[src], b := root[dst]):
+        np.minimum.at(root, np.concatenate((a, b)), np.concatenate((b, a)))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
     # A component's root is its first run, so root order is scan order.
-    _, run_label = np.unique([find(i) for i in range(start.size)], return_inverse=True)
+    _, run_label = np.unique(root, return_inverse=True)
     ys, xs = np.divmod(np.flatnonzero(mask), w)
     pixel_label = np.repeat(run_label, end - start)
     order = np.argsort(pixel_label, kind="stable")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving main() in process."""
 
+import argparse
 import importlib.util
 import re
 from pathlib import Path
@@ -532,6 +533,86 @@ class TestHelp:
             cli.main([command, "--help"])
         assert info.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+
+HELP_COMMANDS = [[], ["synth"], ["segment"], ["train"], ["classify"], ["experiment"]]
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process cli.main call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main parses with one argparse tree per process; no call may see
+    what an earlier one parsed or printed."""
+
+    def test_parser_built_once(self, eye_dir, monkeypatch, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.__wrapped__()
+        per_tree = len(built)
+        assert per_tree >= 9
+        built.clear()
+        cli.build_parser.cache_clear()
+        img = str(sorted(eye_dir.glob("*.pgm"))[0])
+        for _ in range(4):
+            assert run_main(["segment", img], capsys)[0] == 0
+        assert len(built) == per_tree
+
+    def test_flag_does_not_carry_over(self, eye_dir, monkeypatch, capsys):
+        seen = []
+
+        def spy(path, pcfg):
+            seen.append(pcfg)
+            raise RuntimeError("spy")
+
+        monkeypatch.setattr(cli, "segment_eye", spy)
+        img = str(sorted(eye_dir.glob("*.pgm"))[0])
+        run_main(["segment", "--threshold", "50", img], capsys)
+        run_main(["segment", img], capsys)
+        assert seen == [harness.PipelineConfig(threshold=50), harness.PipelineConfig()]
+
+    @pytest.mark.parametrize(
+        "disruptor, code",
+        [(["segment", "--no-such-flag"], 2), (["segment", "--help"], 0), (["--help"], 0)],
+        ids=["usage_error", "segment_help", "help"],
+    )
+    def test_next_call_unaffected(self, eye_dir, capsys, disruptor, code):
+        request = ["segment", str(sorted(eye_dir.glob("*.pgm"))[0])]
+        cli.build_parser.cache_clear()
+        fresh = run_main(request, capsys)
+        first = run_main(disruptor, capsys)
+        assert first[0] == code
+        assert run_main(request, capsys) == fresh
+        assert run_main(disruptor, capsys) == first
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda c: c[0] if c else "irisvd")
+    def test_help_matches_fresh_parser(self, command, monkeypatch, capsys):
+        argv = [*command, "--help"]
+        shown = set()
+        for columns in ("120", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            cached = run_main(argv, capsys)
+            with pytest.raises(SystemExit):
+                cli.build_parser.__wrapped__().parse_args(argv)
+            assert cached == (0, capsys.readouterr().out, "")
+            shown.add(cached)
+        # Subcommand help wraps differently at the two widths, so the
+        # cached parser reads COLUMNS on every call.
+        assert len(shown) == (2 if command else 1)
 
 
 def load_perfbench(name: str):

@@ -2,11 +2,16 @@
 
 The labeling tests compare against an independent stack-based flood-fill
 oracle, which lives here, not in the package, so the two routes stay
-separate.
+separate.  The union-find labeller the package used before
+(tests/segmentation_reference.py) pins the exact labels and pixel order.
 """
+
+from itertools import cycle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irisvd.harness import PipelineConfig
 from irisvd.image_io import GrayImage, round_half_away
@@ -17,6 +22,8 @@ from irisvd.segmentation import (
     pupil_geometry,
     threshold_dark,
 )
+from irisvd.synth import EyeSpec, class_seed_for, generate_eye
+from segmentation_reference import reference_label_components_8
 
 NEIGHBORS_8 = [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
 
@@ -168,6 +175,108 @@ class TestLabelComponents:
         bits = (rng.random((40, 40)) < 0.4)
         regions = label_components_8(bits)
         assert sum(r.area for r in regions) == bits.sum()
+
+
+def square_spiral(n: int) -> np.ndarray:
+    """A one-pixel path spiralling inward, its turns two pixels apart."""
+    bits = np.zeros((n, n), dtype=bool)
+    y = x = 0
+    bits[0, 0] = True
+    lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in range(2)]
+    for (dy, dx), length in zip(cycle([(0, 1), (1, 0), (0, -1), (-1, 0)]), lengths):
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            bits[y, x] = True
+    return bits
+
+
+def serpentine(h: int, w: int) -> np.ndarray:
+    """Full-height strokes in every other column, joined alternately at the
+    bottom and the top: one path that winds across the whole image."""
+    bits = np.zeros((h, w), dtype=bool)
+    bits[:, ::2] = True
+    for k, x in enumerate(range(1, w - 1, 2)):
+        bits[h - 1 if k % 2 == 0 else 0, x] = True
+    return bits
+
+
+def vertical_zigzag(h: int, w: int, amplitude: int = 9, spacing: int = 4) -> np.ndarray:
+    """Parallel one-pixel strokes that zigzag left and right down the image."""
+    ys = np.arange(h)
+    swing = np.abs((ys % (2 * amplitude)) - amplitude)
+    bits = np.zeros((h, w), dtype=bool)
+    for x0 in range(0, w - amplitude, spacing):
+        bits[ys, x0 + swing] = True
+    return bits
+
+
+FIXED_MASKS = {
+    "empty": np.zeros((6, 7), dtype=bool),
+    "full": np.ones((6, 7), dtype=bool),
+    "row": np.ones((1, 50), dtype=bool),
+    "column": np.ones((50, 1), dtype=bool),
+    "square_spiral": square_spiral(280),
+    "vertical_zigzag": vertical_zigzag(280, 320),
+    "serpentine": serpentine(280, 320),
+    "checkerboard": np.indices((280, 320)).sum(axis=0) % 2 == 0,
+}
+
+
+def degraded_eye_masks() -> list[np.ndarray]:
+    """Dark masks of every eye of the degraded recipe (synth 9x8 with 12
+    eyelashes, noise 12 and a bright spot), whole and cropped into the
+    iris band on the left and on the right."""
+    masks = []
+    for c in range(1, 10):
+        for s in range(1, 9):
+            spec = EyeSpec(class_seed_for(0, c), s, eyelash_count=12,
+                           noise_amplitude=12, bright_spot=True)
+            img, pupil, bounds = generate_eye(spec)
+            mask = threshold_dark(img)
+            x = round(pupil.x_cp)
+            depth = round((pupil.r_x + (bounds.right_x - bounds.left_x) / 2) / 2)
+            masks += [mask, mask[:, x - depth:], mask[:, : x + depth + 1]]
+    return masks
+
+
+def assert_labels_like_reference(bits: np.ndarray) -> None:
+    got, want = label_components_8(bits), reference_label_components_8(bits)
+    assert [r.label for r in got] == [r.label for r in want]
+    for g, r in zip(got, want):
+        assert g.xs.tolist() == r.xs.tolist() and g.ys.tolist() == r.ys.tolist()
+
+
+class TestLabelAgainstReference:
+    """Hooking and pointer jumping give the union-find labeller's regions
+    (tests/segmentation_reference.py): the same labels, and the same pixel
+    coordinates in the same order."""
+
+    def test_fixture_shapes(self):
+        assert FIXED_MASKS["square_spiral"].sum() > 39000
+        for name in ("square_spiral", "serpentine"):
+            assert len(flood_fill_components(FIXED_MASKS[name])) == 1, name
+        assert len(label_components_8(FIXED_MASKS["checkerboard"])) == 1
+
+    @pytest.mark.parametrize("name", FIXED_MASKS)
+    def test_fixed_masks(self, name):
+        assert_labels_like_reference(FIXED_MASKS[name])
+
+    def test_degraded_eyes(self):
+        masks = degraded_eye_masks()
+        assert len(masks) == 216
+        for bits in masks:
+            assert_labels_like_reference(bits)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_masks(self, h, w, density, seed):
+        bits = np.random.default_rng(seed).random((h, w)) < density
+        assert_labels_like_reference(bits)
 
 
 class TestFilterSmallRegions:
