@@ -444,10 +444,10 @@ def save_model(path, net: Mlp) -> None:
 
 def _parse_floats(parts, idx: int) -> list[float]:
     try:
-        values = [float(p) for p in parts]
+        values = list(map(float, parts))
     except ValueError as exc:
         raise ModelFormatError(f"line {idx + 1}: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ModelFormatError(f"line {idx + 1}: non-finite value")
     return values
 

@@ -100,8 +100,8 @@ def label_components_8(mask: np.ndarray) -> list[Region]:
         while not np.array_equal(jumped := root[root], root):
             root = jumped
 
-    # A component's root is its first run, so root order is scan order.
-    _, run_label = np.unique(root, return_inverse=True)
+    # The roots, root[i] == i, are each component's first run, in scan order.
+    run_label = np.cumsum(root == np.arange(root.size))[root] - 1
     ys, xs = np.divmod(np.flatnonzero(mask), w)
     pixel_label = np.repeat(run_label, end - start)
     order = np.argsort(pixel_label, kind="stable")

@@ -5,9 +5,10 @@ rotations: pairs of columns of a working copy W of A are rotated until every
 pair is orthogonal, at which point the column norms are the singular values
 and the normalized columns form U.  Pairs are visited in a round-robin
 schedule so each sweep touches every pair exactly once.  W sits on top of V
-in one array, so a round gathers the columns of its disjoint pairs once per
-side, rotates them all in one fixed-shape vectorized step (a pair that needs
-no rotation gets c = 1, s = 0 and stays as it is) and scatters them back.
+in one array, stored one column per row, so a round gathers the p columns
+and then the q columns of its disjoint pairs in one take, rotates them all
+in one fixed-shape vectorized step inside that block (a pair that needs no
+rotation gets c = 1, s = 0 and stays as it is) and scatters them back once.
 
 The classifier consumes only the leading singular values, which collapse a
 40x40 template into a vector of a few tens of numbers while preserving most
@@ -73,10 +74,11 @@ class SvdFactorization:
 
 
 @lru_cache(maxsize=8)
-def _round_robin_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _round_robin_pairs(n: int) -> tuple[np.ndarray, ...]:
     """Rounds of disjoint column pairs covering every pair once per sweep.
 
-    Cached per width, so the index arrays are shared and read-only.
+    Each round is one index block, its p columns then its q columns.  Cached
+    per width, so the blocks are shared and read-only.
     """
     players = list(range(n))
     if n % 2:
@@ -91,9 +93,9 @@ def _round_robin_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
                 ps.append(min(a, b))
                 qs.append(max(a, b))
         if ps:
-            pair = np.array([ps, qs])
-            pair.setflags(write=False)
-            rounds.append(tuple(pair))
+            pq = np.array(ps + qs)
+            pq.setflags(write=False)
+            rounds.append(pq)
         players = [players[0], players[-1]] + players[1:-1]
     return tuple(rounds)
 
@@ -128,43 +130,50 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     makes the result deterministic and unique for almost every input.
     """
     m, n = a.m, a.n
-    wv = np.vstack([a.entries, np.eye(n)])
+    # Row j of wt is column j of W over V: a round moves whole rows, and each
+    # column sum is a reduction over contiguous memory, whose summation order
+    # every bit of the result depends on.
+    wt = np.hstack([a.entries.T, np.eye(n)])
 
+    h = n // 2
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for ps, qs in _round_robin_pairs(n):
-            xp, xq = wv[:, ps], wv[:, qs]
-            wp, wq = xp[:m], xq[:m]
-            app = np.einsum("ij,ij->j", wp, wp)
-            aqq = np.einsum("ij,ij->j", wq, wq)
-            apq = np.einsum("ij,ij->j", wp, wq)
+        for pq in _round_robin_pairs(n):
+            x = wt.take(pq, axis=0)
+            x3 = x.reshape(2, h, m + n)
+            w3 = x3[:, :, :m]
+            app, aqq = np.einsum("kji,kji->kj", w3, w3)
+            apq = np.einsum("ji,ji->j", w3[0], w3[1])
             denom = np.sqrt(app * aqq)
-            off = np.divide(np.abs(apq), denom, out=np.zeros_like(apq), where=denom > 0.0)
+            off = np.divide(np.abs(apq), denom, out=np.zeros(h), where=denom > 0.0)
             rotate = off > JACOBI_TOL
-            if not rotate.any():
+            if not np.count_nonzero(rotate):
                 continue
-            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros_like(apq), where=rotate)
+            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(h), where=rotate)
             abs_tau = np.abs(tau)
-            if abs_tau.max() > _TAU_MAX:
+            if np.maximum.reduce(abs_tau) > _TAU_MAX:
                 # tau * tau would overflow, and t rounds to 0 anyway: such a
                 # pair's column norms differ over 1e142-fold.  Leave it be.
                 rotate &= abs_tau <= _TAU_MAX
                 tau[~rotate] = 0.0
-            rotated = rotated or rotate.any()
+            rotated = rotated or np.count_nonzero(rotate) > 0
             # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
             t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            wv[:, ps] = c * xp - s * xq
-            wv[:, qs] = s * xp + c * xq
+            # Rotate inside the gathered block: p' = c p - s q, q' = s p + c q.
+            xc, xs = x3 * c[:, None], x3 * s[:, None]
+            np.subtract(xc[0], xs[1], out=x3[0])
+            np.add(xs[0], xc[1], out=x3[1])
+            wt[pq] = x
         if not rotated:
             # w and v are unchanged, so every later sweep would be the same.
             break
 
     # w keeps the input's memory layout (Fortran order for wide input),
     # because the order of the norm sums below follows it.
-    w, v = np.empty_like(a.entries), wv[m:]
-    w[...] = wv[:m]
+    w, v = np.empty_like(a.entries), wt[:, m:].T
+    w[...] = wt[:, :m].T
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]

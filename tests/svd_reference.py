@@ -1,12 +1,20 @@
-"""Reference one-sided Jacobi SVD: the loop svd_factorize ran before W and V
-shared one array and every pair of a round was rotated in one fixed shape.
+"""Reference one-sided Jacobi SVDs, each an earlier loop of svd_factorize.
 
-Kept verbatim (schedule builder included) so the stacked round can be held
-to the same bits: s byte-identical, u and v equal up to the sign of a zero
-(the stacked round computes x - 0*y for a pair that does not rotate).
+reference_factorize is the loop from before W and V shared one array and
+every pair of a round was rotated in one fixed shape.  svd_factorize must
+match it with s byte-identical and u, v equal up to the sign of a zero (the
+fixed shape computes x - 0*y for a pair that does not rotate).
+
+stacked_factorize is the stacked W-over-V loop that gathered and scattered
+the p and q columns of a round separately.  svd_factorize must match it
+byte for byte, signs of zeros included.
+
+Both are kept verbatim, schedule builders included.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,3 +110,96 @@ def reference_factorize(a: Matrix) -> SvdFactorization:
     u[:, flip] *= -1.0
     v[:, flip] *= -1.0
     return SvdFactorization(u=u, s=sigma, v=v)
+
+
+@lru_cache(maxsize=8)
+def stacked_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of disjoint column pairs covering every pair once per sweep.
+
+    Cached per width, so the index arrays are shared and read-only.
+    """
+    players = list(range(n))
+    if n % 2:
+        players.append(-1)
+    size = len(players)
+    rounds = []
+    for _ in range(size - 1):
+        ps, qs = [], []
+        for i in range(size // 2):
+            a, b = players[i], players[size - 1 - i]
+            if a != -1 and b != -1:
+                ps.append(min(a, b))
+                qs.append(max(a, b))
+        if ps:
+            pair = np.array([ps, qs])
+            pair.setflags(write=False)
+            rounds.append(tuple(pair))
+        players = [players[0], players[-1]] + players[1:-1]
+    return tuple(rounds)
+
+
+def stacked_factorize(a: Matrix) -> SvdFactorization:
+    """One-sided Jacobi SVD of the (tall-oriented) matrix.
+
+    Column pairs whose normalized inner product exceeds 1e-12 are rotated
+    until a sweep rotates none, capped at 60 sweeps.  Columns whose norm
+    vanishes (rank deficiency) get orthonormal stand-in U columns, and each V
+    column is sign-fixed so its largest-magnitude entry is nonnegative, which
+    makes the result deterministic and unique for almost every input.
+    """
+    m, n = a.m, a.n
+    wv = np.vstack([a.entries, np.eye(n)])
+
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for ps, qs in stacked_pairs(n):
+            xp, xq = wv[:, ps], wv[:, qs]
+            wp, wq = xp[:m], xq[:m]
+            app = np.einsum("ij,ij->j", wp, wp)
+            aqq = np.einsum("ij,ij->j", wq, wq)
+            apq = np.einsum("ij,ij->j", wp, wq)
+            denom = np.sqrt(app * aqq)
+            off = np.divide(np.abs(apq), denom, out=np.zeros_like(apq), where=denom > 0.0)
+            rotate = off > JACOBI_TOL
+            if not rotate.any():
+                continue
+            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros_like(apq), where=rotate)
+            abs_tau = np.abs(tau)
+            if abs_tau.max() > _TAU_MAX:
+                # tau * tau would overflow, and t rounds to 0 anyway: such a
+                # pair's column norms differ over 1e142-fold.  Leave it be.
+                rotate &= abs_tau <= _TAU_MAX
+                tau[~rotate] = 0.0
+            rotated = rotated or rotate.any()
+            # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
+            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            wv[:, ps] = c * xp - s * xq
+            wv[:, qs] = s * xp + c * xq
+        if not rotated:
+            # w and v are unchanged, so every later sweep would be the same.
+            break
+
+    # w keeps the input's memory layout (Fortran order for wide input),
+    # because the order of the norm sums below follows it.
+    w, v = np.empty_like(a.entries), wv[m:]
+    w[...] = wv[:m]
+    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
+    order = np.argsort(-norms, kind="stable")
+    sigma = norms[order]
+    w = w[:, order]
+    v = v[:, order]
+
+    # sigma descends, so the columns with a usable norm come first.
+    full = int(np.count_nonzero(sigma > sigma[0] * 1e-13))
+    u = np.zeros_like(w)
+    u[:, :full] = w[:, :full] / sigma[:full]
+    for j in range(full, n):
+        u[:, j] = _fill_orthonormal(u, j)
+
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
+    return SvdFactorization(u=u, s=sigma, v=v)
+

@@ -748,6 +748,26 @@ class TestModelFile:
         with pytest.raises(ebp.ModelFormatError, match=f"line {i + 1}"):
             ebp.load_model(path)
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("bogus", "line 6: could not convert string to float: 'bogus'"),
+            ("nan", "line 6: non-finite value"),
+        ],
+        ids=["bogus", "nan"],
+    )
+    def test_bad_value_message(self, tmp_path, token, message):
+        # Line 6 is the first w1 row of a 2-4-2 model.
+        path = tmp_path / "model.txt"
+        ebp.save_model(path, ebp.init(ebp.MlpShape(2, 4, 2), seed=1))
+        text = path.read_text().splitlines()
+        assert text[4] == "w1"
+        text[5] = " ".join([token] + text[5].split()[1:])
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ebp.ModelFormatError) as info:
+            ebp.load_model(path)
+        assert str(info.value) == message
+
 
     def test_non_ascii_byte_rejected(self, tmp_path):
         net = ebp.init(ebp.MlpShape(2, 4, 2), seed=1)

@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import svd_reference
 from eig_oracle import jacobi_eigh, singular_values_via_gram
-from irisvd import harness
+from irisvd import harness, svd
 from irisvd.image_io import GrayImage, write_pgm_file
 from irisvd.svd import Matrix, SvdFactorization, svd_factorize
 from irisvd.synth import EyeSpec, class_seed_for, generate_eye
 from irisvd.template import extract_iris_basis
-from svd_reference import reference_factorize
+from svd_reference import reference_factorize, stacked_factorize
 
 
 class TestEigOracle:
@@ -212,6 +213,31 @@ def _uniform(seed: int, *shape: int) -> np.ndarray:
 
 
 _COLUMNS = _uniform(9, 10, 5)
+_MATRICES = [
+    np.zeros((5, 3)),
+    np.column_stack([_COLUMNS, _COLUMNS[:, 2]]),
+    np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]]),
+    _uniform(20, 40, 40),
+    _uniform(21, 40, 5) @ _uniform(22, 5, 40),
+    _uniform(23, 7, 3),
+    _uniform(24, 11, 5),
+    _uniform(25, 9, 9),
+    _uniform(26, 3, 8),
+    _uniform(27, 4, 2) @ _uniform(28, 2, 9),
+]
+_MATRIX_IDS = [
+    "zero", "duplicate_column", "vanishing_pair", "random_40x40",
+    "rank5_40x40", "odd_7x3", "odd_11x5", "square_9x9", "wide_3x8",
+    "wide_rank2_4x9",
+]
+_SMALL_MATRICES = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    elements=st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    ),
+)
 
 
 class TestSameBitsAsReference:
@@ -236,42 +262,86 @@ class TestSameBitsAsReference:
         a = Matrix(extract_iris_basis(img, pupil, bounds))
         assert _rank_deficient(assert_same_as_reference(a).s)
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            np.zeros((5, 3)),
-            np.column_stack([_COLUMNS, _COLUMNS[:, 2]]),
-            np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]]),
-            _uniform(20, 40, 40),
-            _uniform(21, 40, 5) @ _uniform(22, 5, 40),
-            _uniform(23, 7, 3),
-            _uniform(24, 11, 5),
-            _uniform(25, 9, 9),
-            _uniform(26, 3, 8),
-            _uniform(27, 4, 2) @ _uniform(28, 2, 9),
-        ],
-        ids=[
-            "zero", "duplicate_column", "vanishing_pair", "random_40x40",
-            "rank5_40x40", "odd_7x3", "odd_11x5", "square_9x9", "wide_3x8",
-            "wide_rank2_4x9",
-        ],
-    )
+    @pytest.mark.parametrize("raw", _MATRICES, ids=_MATRIX_IDS)
     def test_matrices(self, raw):
         assert_same_as_reference(Matrix(raw))
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(1, 7), st.integers(1, 7)),
-            elements=st.one_of(
-                st.integers(-2, 2).map(float),
-                st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
-            ),
-        )
-    )
+    @given(_SMALL_MATRICES)
     def test_small_matrices(self, raw):
         assert_same_as_reference(Matrix(raw))
+
+
+def assert_same_bytes_as_stacked(a: Matrix) -> SvdFactorization:
+    got, want = svd_factorize(a), stacked_factorize(a)
+    for name in ("s", "u", "v"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    return got
+
+
+def _count_sweeps(monkeypatch, module, name: str) -> list[int]:
+    """Patch module.name, a round schedule, to count the sweeps that use it."""
+    sweeps = [0]
+
+    class Rounds(list):
+        def __iter__(self):
+            sweeps[0] += 1
+            return super().__iter__()
+
+    schedule = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda n: Rounds(schedule(n)))
+    return sweeps
+
+
+class TestSameBytesAsStackedLoop:
+    """One gather and one scatter per round reproduce the stacked W-over-V
+    loop that gathered p and q apart, signs of zeros included."""
+
+    def test_templates_and_sweeps(self, monkeypatch):
+        new = _count_sweeps(monkeypatch, svd, "_round_robin_pairs")
+        old = _count_sweeps(monkeypatch, svd_reference, "stacked_pairs")
+        for cls in (3, 4):
+            for sample in range(1, 8):
+                spec = EyeSpec(class_seed=class_seed_for(0, cls), sample_seed=sample)
+                assert_same_bytes_as_stacked(Matrix(extract_iris_basis(*generate_eye(spec))))
+                assert new == old, (cls, sample)
+        assert new[0] > 14 * 9
+
+    def test_tight_crop_template(self, tmp_path):
+        img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
+        path = tmp_path / "crop.pgm"
+        write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
+        img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
+        a = Matrix(extract_iris_basis(img, pupil, bounds))
+        assert _rank_deficient(assert_same_bytes_as_stacked(a).s)
+
+    def test_degraded_templates(self, tmp_path):
+        # 12 eyes of the degraded recipe (12 eyelashes, noise 12, a bright
+        # spot): a third whole, the others cut into the iris band on the left
+        # or on the right.
+        for i in range(12):
+            spec = EyeSpec(class_seed_for(0, 1 + i % 9), 1 + i // 9, eyelash_count=12,
+                           noise_amplitude=12, bright_spot=True)
+            img, pupil, bounds = generate_eye(spec)
+            depth = (pupil.r_x + (bounds.right_x - bounds.left_x) / 2) / 2
+            pixels = img.pixels
+            if i % 3 == 1:
+                pixels = pixels[:, round(pupil.x_cp - depth):]
+            elif i % 3 == 2:
+                pixels = pixels[:, : round(pupil.x_cp + depth) + 1]
+            path = tmp_path / f"degraded{i}.pgm"
+            write_pgm_file(path, GrayImage(pixels=pixels))
+            img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
+            assert_same_bytes_as_stacked(Matrix(extract_iris_basis(img, pupil, bounds)))
+
+    @pytest.mark.parametrize("raw", _MATRICES, ids=_MATRIX_IDS)
+    def test_matrices(self, raw):
+        assert_same_bytes_as_stacked(Matrix(raw))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_SMALL_MATRICES)
+    def test_small_matrices(self, raw):
+        assert_same_bytes_as_stacked(Matrix(raw))
 
 
 class TestFeatureVector:
