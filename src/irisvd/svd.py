@@ -1,18 +1,15 @@
 """Singular value decomposition from scratch.
 
-The template matrix is factorized as A = U diag(s) V^T by one-sided Jacobi
-rotations: pairs of columns of a working copy W of A are rotated until every
-pair is orthogonal, at which point the column norms are the singular values
-and the normalized columns form U.  Pairs are visited in a round-robin
-schedule so each sweep touches every pair exactly once.  W sits on top of V
-in one array, stored one column per row, so a round gathers the p columns
-and then the q columns of its disjoint pairs in one take, rotates them all
-in one fixed-shape vectorized step inside that block (a pair that needs no
-rotation gets c = 1, s = 0 and stays as it is) and scatters them back once.
-
-The classifier consumes only the leading singular values, which collapse a
-40x40 template into a vector of a few tens of numbers while preserving most
-of its energy.
+A = U diag(s) V^T by one-sided Jacobi rotations: pairs of columns of a
+working copy W of A are rotated until every pair is orthogonal; the column
+norms are then the singular values and the normalized columns form U.  A
+round-robin schedule visits every pair once per sweep.  W is held one column
+per row, so a round gathers the p then the q columns of its disjoint pairs in
+one take, rotates them in one fixed-shape step (c = 1, s = 0 for a pair that
+needs no rotation) and scatters them back once.  Each round written back is
+logged, and V is the log replayed on the identity.  V and U are built only on
+first read: the classifier reads only the leading singular values, a few tens
+of numbers that keep most of a 40x40 template's energy.
 """
 
 from __future__ import annotations
@@ -57,13 +54,20 @@ class Matrix:
         return int(self.entries.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
 class SvdFactorization:
-    """Thin factorization A = u @ diag(s) @ v.T with s descending."""
+    """Thin factorization A = u @ diag(s) @ v.T with s descending.  From
+    svd_factorize, u and v are built on first read and the log then freed."""
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
+    def __init__(self, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
+        self.s, self._uv = s, (u, v)
+
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        if callable(self._uv):
+            self._uv = self._uv()
+        return self._uv
+
+    u = property(lambda self: self._vectors()[0])
+    v = property(lambda self: self._vectors()[1])
 
     @property
     def n(self) -> int:
@@ -109,41 +113,26 @@ def _fill_orthonormal(u: np.ndarray, col: int) -> np.ndarray:
     """
     m = u.shape[0]
     basis = u[:, :col]
-    residuals = np.eye(m)
-    if col:
-        residuals = residuals - basis @ basis.T
+    residuals = np.eye(m) - basis @ basis.T
     norms = np.linalg.norm(residuals, axis=0)
     best = residuals[:, int(np.argmax(norms))] / norms.max()
-    if col:
-        best = best - basis @ (basis.T @ best)
-        best = best / np.linalg.norm(best)
+    best = best - basis @ (basis.T @ best)
+    best = best / np.linalg.norm(best)
     return best
 
 
-def svd_factorize(a: Matrix) -> SvdFactorization:
-    """One-sided Jacobi SVD of the (tall-oriented) matrix.
-
-    Column pairs whose normalized inner product exceeds 1e-12 are rotated
-    until a sweep rotates none, capped at 60 sweeps.  Columns whose norm
-    vanishes (rank deficiency) get orthonormal stand-in U columns, and each V
-    column is sign-fixed so its largest-magnitude entry is nonnegative, which
-    makes the result deterministic and unique for almost every input.
-    """
-    m, n = a.m, a.n
-    # Row j of wt is column j of W over V: a round moves whole rows, and each
-    # column sum is a reduction over contiguous memory, whose summation order
-    # every bit of the result depends on.
-    wt = np.hstack([a.entries.T, np.eye(n)])
-
+def _sweep(wt: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rotate the rows of wt until a sweep rotates none; return the round log."""
+    n, m = wt.shape
     h = n // 2
+    log = []
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for pq in _round_robin_pairs(n):
             x = wt.take(pq, axis=0)
-            x3 = x.reshape(2, h, m + n)
-            w3 = x3[:, :, :m]
-            app, aqq = np.einsum("kji,kji->kj", w3, w3)
-            apq = np.einsum("ji,ji->j", w3[0], w3[1])
+            x3 = x.reshape(2, h, m)
+            gram = np.einsum("kji,lji->klj", x3, x3)
+            app, aqq, apq = gram[0, 0], gram[1, 1], gram[0, 1]
             denom = np.sqrt(app * aqq)
             off = np.divide(np.abs(apq), denom, out=np.zeros(h), where=denom > 0.0)
             rotate = off > JACOBI_TOL
@@ -159,36 +148,67 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
             rotated = rotated or np.count_nonzero(rotate) > 0
             # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
             t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # Rotate inside the gathered block: p' = c p - s q, q' = s p + c q.
-            xc, xs = x3 * c[:, None], x3 * s[:, None]
-            np.subtract(xc[0], xs[1], out=x3[0])
-            np.add(xs[0], xc[1], out=x3[1])
+            cs = np.empty((2, h))
+            np.divide(1.0, np.sqrt(1.0 + t * t), out=cs[0])
+            np.multiply(t, cs[0], out=cs[1])
+            _rotate(x3, cs)
             wt[pq] = x
+            # Logged even if the guard dropped every pair: V replays each write-back of W.
+            log.append((pq, cs))
         if not rotated:
-            # w and v are unchanged, so every later sweep would be the same.
+            # W is unchanged, so every later sweep would be the same.
             break
+    return log
 
+
+def _rotate(x3: np.ndarray, cs: np.ndarray) -> None:
+    """Rotate a gathered block in place: p' = c p - s q, q' = s p + c q."""
+    xc, xs = x3 * cs[0, :, None], x3 * cs[1, :, None]
+    np.subtract(xc[0], xs[1], out=x3[0])
+    np.add(xs[0], xc[1], out=x3[1])
+
+
+def _replay(log: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """V^T: the logged rotations applied to the rows of the identity."""
+    vt = np.eye(n)
+    for pq, cs in log:
+        y = vt.take(pq, axis=0)
+        _rotate(y.reshape(2, -1, n), cs)
+        vt[pq] = y
+    return vt
+
+
+def svd_factorize(a: Matrix) -> SvdFactorization:
+    """One-sided Jacobi SVD of the (tall-oriented) matrix; u, v on first read.
+
+    Columns whose norm vanishes (rank deficiency) get orthonormal stand-in U
+    columns; each V column is sign-fixed so its largest-magnitude entry is
+    nonnegative, which makes the result unique for almost every input."""
+    # Row j of wt is column j of W, so each column sum of a round reduces
+    # contiguous memory: every bit of the result depends on that order.
+    n, wt = a.n, a.entries.T.copy()
+    log = _sweep(wt)
     # w keeps the input's memory layout (Fortran order for wide input),
     # because the order of the norm sums below follows it.
-    w, v = np.empty_like(a.entries), wt[:, m:].T
-    w[...] = wt[:, :m].T
+    w = np.empty_like(a.entries)
+    w[...] = wt.T
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
-    w = w[:, order]
-    v = v[:, order]
 
-    # sigma descends, so the columns with a usable norm come first.
-    full = int(np.count_nonzero(sigma > sigma[0] * 1e-13))
-    u = np.zeros_like(w)
-    u[:, :full] = w[:, :full] / sigma[:full]
-    for j in range(full, n):
-        u[:, j] = _fill_orthonormal(u, j)
+    def vectors() -> tuple[np.ndarray, np.ndarray]:
+        ws, v = w[:, order], _replay(log, n).T[:, order]
+        # sigma descends, so the columns with a usable norm come first.
+        full = int(np.count_nonzero(sigma > sigma[0] * 1e-13))
+        u = np.zeros_like(ws)
+        u[:, :full] = ws[:, :full] / sigma[:full]
+        for j in range(full, n):
+            u[:, j] = _fill_orthonormal(u, j)
+        flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
+        u[:, flip] *= -1.0
+        v[:, flip] *= -1.0
+        return u, v
 
-    flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-    return SvdFactorization(u=u, s=sigma, v=v)
-
+    f = SvdFactorization(None, sigma, None)
+    f._uv = vectors
+    return f

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irisvd import cli, ebp, harness, segmentation, synth
+from irisvd import cli, ebp, harness, segmentation, svd, synth
 from irisvd.ebp import ModelFormatError, TrainConfig
 from irisvd.image_io import GrayImage, read_pgm_file, write_pgm_file
 from irisvd.iris_boundary import IrisBounds, mark_bounds
@@ -533,6 +533,34 @@ class TestHelp:
             cli.main([command, "--help"])
         assert info.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+
+class TestFeaturePath:
+    """Every subcommand that reads features takes singular values only."""
+
+    def test_no_subcommand_builds_singular_vectors(self, eye_dir, model_file, tmp_path,
+                                                   monkeypatch, capsys):
+        # class001_sample05's template is rank-deficient, sample01's is not.
+        model = tmp_path / "model.txt"
+        images = [eye_dir / "class001_sample05.pgm", eye_dir / "class001_sample01.pgm"]
+        runs = [
+            ["classify", "--model", str(model_file), *map(str, images)],
+            ["experiment", "--data", str(eye_dir), "--classes", "2,3", "--dims", "3",
+             "--epochs", "200"],
+            ["train", "--data", str(eye_dir), "--dim", "10", "--epochs", "200",
+             "--out", str(model)],
+        ]
+        want = [run_main(argv, capsys) for argv in runs]
+        want_model = model.read_bytes()
+
+        def replay(*args):
+            raise AssertionError("singular vectors built on the feature path")
+
+        monkeypatch.setattr(svd, "_replay", replay)
+        got = [run_main(argv, capsys) for argv in runs]
+        assert [code for code, _, _ in got] == [0, 0, 0]
+        assert got == want
+        assert model.read_bytes() == want_model
 
 
 HELP_COMMANDS = [[], ["synth"], ["segment"], ["train"], ["classify"], ["experiment"]]

@@ -353,3 +353,50 @@ class TestFeatureVector:
         x = harness._template_spectrum(path, harness.PipelineConfig())[:k]
         assert x.shape == (k,) and x.dtype == np.float64
         assert np.all(np.diff(x) <= 0.0) and x[-1] >= 0.0
+
+
+def _spy_replay(monkeypatch) -> list[int]:
+    """Patch svd._replay, which builds V, to count its calls."""
+    calls = []
+    replay = svd._replay
+
+    def spy(*args):
+        calls.append(1)
+        return replay(*args)
+
+    monkeypatch.setattr(svd, "_replay", spy)
+    return calls
+
+
+class TestVectorsOnDemand:
+    """svd_factorize computes s at once, and u and v on their first read."""
+
+    def test_values_alone_never_replay(self, monkeypatch):
+        calls = _spy_replay(monkeypatch)
+        f = svd_factorize(Matrix(_uniform(30, 40, 40)))
+        assert f.n == 40 and np.all(np.diff(f.s) <= 0.0)
+        assert calls == []
+
+    def test_vectors_replay_once(self, monkeypatch):
+        calls = _spy_replay(monkeypatch)
+        a = Matrix(_uniform(31, 9, 6))
+        f = svd_factorize(a)
+        u = f.u
+        assert calls == [1]
+        v = f.v
+        check_invariants(a, f)
+        assert calls == [1]
+        assert f.u is u and f.v is v
+
+    def test_vectors_iterate_no_schedule(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch, svd, "_round_robin_pairs")
+        f = svd_factorize(Matrix(_uniform(32, 12, 8)))
+        swept = sweeps[0]
+        f.reconstruct()
+        assert sweeps[0] == swept > 0
+
+    def test_direct_construction_returns_its_arrays(self):
+        u, s, v = np.eye(3), np.array([3.0, 2.0, 1.0]), np.eye(3)[::-1]
+        f = SvdFactorization(u=u, s=s, v=v)
+        assert f.u is u and f.s is s and f.v is v
+        assert np.array_equal(f.reconstruct(), np.diag(s)[:, ::-1])
