@@ -309,7 +309,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     train_set, _ = split(ds, args.n_train)
     files = [p for cls in ds.classes for p in train_set[cls]]
-    spectra = {p: _template_spectrum(p, pcfg) for p in files}
+    spectra = {p: _template_spectrum(p, pcfg, ds.images[p]) for p in files}
     trained, report = fit_classifier(spectra, ds.classes, train_set, k, tcfg)
 
     out = Path(args.out)

@@ -68,10 +68,12 @@ class PipelineStageError(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Class ids in lexicographic order, each with its ordered sample paths."""
+    """Class ids in lexicographic order, each with its ordered sample paths,
+    and every sample's image as load_dataset decoded it."""
 
     classes: tuple[str, ...]
     samples: dict[str, tuple[Path, ...]]
+    images: dict[Path, GrayImage]
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,8 @@ def load_dataset(directory) -> Dataset:
     Subdirectories are treated as classes; flat files group by the portion
     of the name before the sample suffix.  Classes with fewer than
     MIN_SAMPLES_PER_CLASS samples are dropped with a warning.  Every image
-    must parse and share one common size.
+    must parse and share one common size; the decoded images are kept, so
+    nothing reads them again.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -171,11 +174,12 @@ def load_dataset(directory) -> Dataset:
     if not kept:
         raise DatasetError(f"no classes with >= {MIN_SAMPLES_PER_CLASS} samples in {root}")
 
+    images: dict[Path, GrayImage] = {}
     shape: tuple[int, int] | None = None
     for cls, files in kept.items():
         for f in files:
             try:
-                img = read_pgm_file(f)
+                img = images[f] = read_pgm_file(f)
             except Exception as exc:
                 raise DatasetError(f"unreadable image {f}: {exc}") from exc
             if shape is None:
@@ -185,7 +189,7 @@ def load_dataset(directory) -> Dataset:
                     f"image {f} is {img.width}x{img.height}, "
                     f"expected {shape[0]}x{shape[1]}"
                 )
-    return Dataset(classes=tuple(kept), samples=kept)
+    return Dataset(classes=tuple(kept), samples=kept, images=images)
 
 
 def split(
@@ -213,28 +217,33 @@ def _stage(name: str, path, fn, *args):
 
 
 def segment_eye(
-    path, cfg: PipelineConfig
+    path, cfg: PipelineConfig, img: GrayImage | None = None
 ) -> tuple[GrayImage, np.ndarray, PupilGeometry, IrisBounds]:
     """Read one eye image and locate its pupil and iris bounds.
 
     Returns the image, its bool dark-pixel mask, the pupil and the bounds.
     Any stage failure surfaces as PipelineStageError naming the stage and
-    the file.
+    the file.  img, when given, is path's image already decoded, and the
+    read stage is skipped.
     """
-    img = _stage("read", path, read_pgm_file, path)
+    if img is None:
+        img = _stage("read", path, read_pgm_file, path)
     mask = _stage("threshold", path, threshold_dark, img, cfg.threshold)
     pupil = _stage("segment", path, pupil_geometry, mask, cfg.min_pupil_area)
     bounds = _stage("bounds", path, iris_bounds, img, pupil, cfg.edge)
     return img, mask, pupil, bounds
 
 
-def _template_spectrum(path, cfg: PipelineConfig) -> np.ndarray:
+def _template_spectrum(
+    path, cfg: PipelineConfig, img: GrayImage | None = None
+) -> np.ndarray:
     """All singular values of one image's iris-basis template, descending.
 
     A template is 40x40, so there are 40 values; callers take the first k,
-    which the CLI checks before any image is read.
+    which the CLI checks before any image is read.  img is as for
+    segment_eye.
     """
-    img, _, pupil, bounds = segment_eye(path, cfg)
+    img, _, pupil, bounds = segment_eye(path, cfg, img)
     tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
     return _stage("svd", path, svd_factorize, Matrix(entries=tpl)).s
 
@@ -324,7 +333,7 @@ def run_experiment(
                 for p in (f for cls in classes for f in ds.samples[cls]):
                     if p not in spectra:
                         try:
-                            spectra[p] = _template_spectrum(p, pipeline)
+                            spectra[p] = _template_spectrum(p, pipeline, ds.images[p])
                         except Exception as exc:
                             spectra[p] = exc
                     if isinstance(spectra[p], Exception):

@@ -7,6 +7,7 @@ round-half-away-from-zero so that expected values can be reproduced by hand.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -25,11 +26,16 @@ def round_half_away(values):
     Works on scalars and numpy arrays; returns the same kind.  Python's
     built-in round() is half-to-even, which makes hand-computed oracle
     values awkward, so every rounding step in the pipeline funnels through
-    this helper instead.
+    this helper instead.  A Python or numpy scalar is rounded with the same
+    float64 steps in `math`, without building an array.
     """
+    if isinstance(values, (int, float, np.generic)):
+        x = float(values)
+        n = math.floor(abs(x) + 0.5)
+        return -n if x < 0 else n
     arr = np.asarray(values, dtype=np.float64)
     out = np.sign(arr) * np.floor(np.abs(arr) + 0.5)
-    if np.isscalar(values) or np.ndim(values) == 0:
+    if np.ndim(values) == 0:
         return int(out)
     return out.astype(np.int64)
 

@@ -78,17 +78,19 @@ def scanline(img: GrayImage, pupil: PupilGeometry) -> np.ndarray:
     spans as much of [0, 255] as the row allows.  A constant row has no
     contrast to stretch and degenerates to an all-zero profile.
     """
-    line = img.pixels[int(round_half_away(pupil.y_cp))].astype(np.float64)
-    low, high = line.min(), line.max()
+    line = img.pixels[round_half_away(pupil.y_cp)]
+    low, high = int(line.min()), int(line.max())
     if high <= low:
         return np.zeros(line.shape, dtype=np.int64)
-    return np.clip(round_half_away((line - low) * 255.0 / (high - low)), 0, 255)
+    # The stretched values lie in [0, 255], so rounding half away from zero
+    # is truncating x + 0.5, and nothing needs clipping.
+    return ((line - low) * 255.0 / (high - low) + 0.5).astype(np.int64)
 
 
 def _pupil_edge_column(pupil: PupilGeometry, direction: str) -> int:
     if direction == "right":
-        return int(round_half_away(pupil.x_cp + pupil.r_x))
-    return int(round_half_away(pupil.x_cp - pupil.r_x))
+        return round_half_away(pupil.x_cp + pupil.r_x)
+    return round_half_away(pupil.x_cp - pupil.r_x)
 
 
 def detect_edge(
@@ -108,24 +110,26 @@ def detect_edge(
     Candidates start one full window outside the pupil so the pupil/iris
     transition never lands in the inward window.  EdgeConfig checks window
     and jump where they enter.
+
+    Every candidate is tested at once.  The window sums are differences of
+    one cumulative sum, and each mean is its sum / window, the float that
+    ndarray.mean gives on a window of integer intensities.  The left scan
+    is the right scan of the mirrored profile.
     """
     edge = _pupil_edge_column(pupil, direction)
     width = profile.size
-    step = 1 if direction == "right" else -1
-
-    c = edge + step * (window + 1)
-    while window <= c <= width - 1 - window:
-        rise = int(profile[c]) - int(profile[c - step])
-        if rise >= jump:
-            if direction == "right":
-                outward = profile[c + 1 : c + window + 1]
-                inward = profile[c - window : c]
-            else:
-                outward = profile[c - window : c]
-                inward = profile[c + 1 : c + window + 1]
-            if float(outward.mean()) - float(inward.mean()) >= jump:
-                return c
-        c += step
+    line = profile if direction == "right" else profile[::-1]
+    first = edge + window + 1 if direction == "right" else width - edge + window
+    last = width - 1 - window
+    if window <= first <= last:
+        sums = np.concatenate(([0], np.cumsum(line)))
+        rise = line[first : last + 1] - line[first - 1 : last]
+        outward = sums[first + window + 1 : last + window + 2] - sums[first + 1 : last + 2]
+        inward = sums[first : last + 1] - sums[first - window : last + 1 - window]
+        hits = np.flatnonzero((rise >= jump) & (outward / window - inward / window >= jump))
+        if hits.size:
+            c = first + int(hits[0])
+            return c if direction == "right" else width - 1 - c
     raise EdgeNotFoundError(
         f"no intensity rise of at least {jump} found scanning {direction} "
         f"from column {edge}"
@@ -162,7 +166,7 @@ def iris_bounds(
     if left_x is None and right_x is None:
         width = cfg.default_annulus_width
         if width is None:
-            width = int(round_half_away(2.0 * max(pupil.r_x, pupil.r_y)))
+            width = round_half_away(2.0 * max(pupil.r_x, pupil.r_y))
         left_x = pupil_left - width
         right_x = pupil_right + width
     elif left_x is None:
@@ -188,7 +192,7 @@ def mark_bounds(img: GrayImage, pupil: PupilGeometry, bounds: IrisBounds) -> Gra
     in any PGM viewer.
     """
     pixels = np.array(img.pixels, dtype=np.float64)
-    row = int(round_half_away(pupil.y_cp))
+    row = round_half_away(pupil.y_cp)
     pixels[row] = np.maximum(pixels[row], 128)
     for col in (bounds.left_x, bounds.right_x):
         lo = max(0, row - 4)

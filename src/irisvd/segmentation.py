@@ -5,9 +5,11 @@ Dark pixels are thresholded to a mask, a plain 2-D bool array, and
 Chao & Suzuki (IEEE TIP 2008): every run of True in the mask is found in one
 vectorised pass, runs in consecutive rows that touch are merged by vectorised
 min-label hooking and pointer jumping (Shiloach & Vishkin 1982), and each
-region keeps its pixel coordinates as arrays.  Regions smaller than the
-minimum pupil area (eyelashes) are cleared, and the surviving largest region
-yields the pupil centroid and its horizontal/vertical radii.
+region keeps its pixel coordinates as arrays, expanded from its runs once the
+runs are sorted by label.  Regions smaller than the minimum pupil area
+(eyelashes) are cleared, and the surviving largest region, unless it spans
+the image from border to border, yields the pupil centroid and its
+horizontal/vertical radii.
 
 Coordinates are (x, y) with origin top-left, x rightward, y downward.
 """
@@ -72,41 +74,53 @@ def label_components_8(mask: np.ndarray) -> list[Region]:
     numbers the resolved components in scan order and groups each region's
     pixel coordinates.
     """
-    w = mask.shape[1]
-    # In the flattened changes along the padded rows, each run of True shows
-    # as its start then its end: row * (w + 1) + x, the end half-open.
-    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1)
-    flat = np.flatnonzero(steps)
+    h, w = mask.shape
+    # The mask's rows, each ended by one False, flattened after one leading
+    # False: each run of True shows in its changes as its start then its
+    # end, row * (w + 1) + x, the end half-open.
+    padded = np.zeros(h * (w + 1) + 1, dtype=bool)
+    padded[1:].reshape(h, w + 1)[:, :w] = mask
+    flat = np.flatnonzero(padded[1:] != padded[:-1])
     start, end = flat[::2], flat[1::2]
     if not start.size:
         return []
 
     # The runs of the row above that touch run i, one column of diagonal
     # slack included, are the slice [lo, hi) of the scan order.
-    lo = np.searchsorted(end, start - (w + 1))
-    hi = np.searchsorted(start, end - (w + 1), side="right")
+    lo = end.searchsorted(start - (w + 1))
+    hi = start.searchsorted(end - (w + 1), side="right")
 
     # Edge e joins run src[e] to run dst[e] of the row above.  Each round
     # hooks every root to the smallest root beside it, then jumps pointers
     # until each run points at its root (Shiloach & Vishkin 1982).
     counts = hi - lo
-    src = np.repeat(np.arange(start.size), counts)
-    dst = np.arange(src.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    src = np.arange(start.size).repeat(counts)
+    dst = np.arange(src.size) + (lo - counts.cumsum() + counts).repeat(counts)
     root = np.arange(start.size)
     # Parents only decrease and each round lowers at least one root, so there
     # are at most runs - 1 rounds.
-    while not np.array_equal(a := root[src], b := root[dst]):
+    while ((a := root[src]) != (b := root[dst])).any():
         np.minimum.at(root, np.concatenate((a, b)), np.concatenate((b, a)))
-        while not np.array_equal(jumped := root[root], root):
+        while ((jumped := root[root]) != root).any():
             root = jumped
 
     # The roots, root[i] == i, are each component's first run, in scan order.
-    run_label = np.cumsum(root == np.arange(root.size))[root] - 1
-    ys, xs = np.divmod(np.flatnonzero(mask), w)
-    pixel_label = np.repeat(run_label, end - start)
-    order = np.argsort(pixel_label, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(pixel_label))[:-1])
-    return [Region(label, xs[g], ys[g]) for label, g in enumerate(groups, start=1)]
+    # Sorting the runs by label, not the pixels, keeps each region's
+    # runs, and so its pixels, in scan order.  A run of length n that starts
+    # at (x, row) and at offset k of the sorted pixels gives n times its row,
+    # and x - k plus the pixels' offsets as columns.
+    run_label = (root == np.arange(root.size)).cumsum()[root] - 1
+    order = run_label.argsort(kind="stable")
+    first, length = start[order], (end - start)[order]
+    stop = length.cumsum()
+    row, x = np.divmod(first, w + 1)
+    ys = row.repeat(length)
+    xs = (x - stop + length).repeat(length) + np.arange(stop[-1])
+    bounds = [0, *stop[np.bincount(run_label).cumsum() - 1].tolist()]
+    return [
+        Region(label, xs[a:b], ys[a:b])
+        for label, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)
+    ]
 
 
 def filter_small_regions(
@@ -131,7 +145,9 @@ def pupil_geometry(mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA) -> 
       through the centroid,
     - r_y: half the run length along the column through the centroid.
 
-    Raises PupilNotFoundError when nothing survives the area filter.
+    Raises PupilNotFoundError when nothing survives the area filter, and
+    when the largest survivor touches two opposite borders of the mask: a
+    dark region that spans the image is background, not a pupil.
     """
     regions = label_components_8(mask)
     survivors = [r for r in regions if r.area >= min_area]
@@ -141,14 +157,23 @@ def pupil_geometry(mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA) -> 
             f"(largest found: {max((r.area for r in regions), default=0)})"
         )
     pupil = max(survivors, key=lambda r: (r.area, -r.label))
+    for coords, size, way in zip((pupil.ys, pupil.xs), mask.shape,
+                                 ("top to bottom", "left to right")):
+        if coords.min() == 0 and coords.max() == size - 1:
+            raise PupilNotFoundError(
+                f"the largest dark region ({pupil.area} pixels) spans the image {way}"
+            )
 
-    # Integer coordinates sum exactly, so the mean does not depend on order.
-    x_cp = float(pupil.xs.mean())
-    y_cp = float(pupil.ys.mean())
+    # Integer coordinates sum exactly, and an integer quotient is correctly
+    # rounded, so the centroid is the float ndarray.mean gives.
+    x_cp = int(pupil.xs.sum()) / pupil.area
+    y_cp = int(pupil.ys.sum()) / pupil.area
 
-    row = int(round_half_away(y_cp))
-    col = int(round_half_away(x_cp))
-    r_x = _run_length_through(pupil.xs[pupil.ys == row], col) / 2.0
+    row = round_half_away(y_cp)
+    col = round_half_away(x_cp)
+    # A region's pixels are in scan order, so its ys are sorted.
+    top, bottom = pupil.ys.searchsorted(row), pupil.ys.searchsorted(row + 1)
+    r_x = _run_length_through(pupil.xs[top:bottom], col) / 2.0
     r_y = _run_length_through(pupil.ys[pupil.xs == col], row) / 2.0
     return PupilGeometry(x_cp=x_cp, y_cp=y_cp, r_x=r_x, r_y=r_y, area=pupil.area)
 
@@ -157,13 +182,14 @@ def _run_length_through(line: np.ndarray, anchor: int) -> int:
     # Length of the contiguous run of the sorted member coordinates in one
     # row (or column) that contains the anchor; falls back to the longest run
     # for concave shapes whose centroid lies outside the region, and to 1 for
-    # an empty line.
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(line) != 1) + 1, [line.size]))
-    i = int(np.searchsorted(line, anchor))
+    # an empty line.  A coordinate minus its position is constant along a
+    # run and grows from one run to the next.
+    key = line - np.arange(line.size)
+    i = line.searchsorted(anchor)
     if i < line.size and line[i] == anchor:
-        run = int(np.searchsorted(edges, i, side="right")) - 1
-        return int(edges[run + 1] - edges[run])
-    return int(np.diff(edges).max(initial=1))
+        return int(key.searchsorted(key[i], "right") - key.searchsorted(key[i]))
+    starts = np.flatnonzero(np.diff(key)) + 1
+    return int(np.diff(starts, prepend=0, append=line.size).max(initial=1))
 
 
 def geometry_csv_line(path: str, geom: PupilGeometry) -> str:

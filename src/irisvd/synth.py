@@ -230,8 +230,8 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
             x0, y0 = x1, y1
 
     if spec.bright_spot:
-        row = int(round_half_away(cy))
-        col = int(round_half_away(cx + (r_p + r_i) / 2.0))
+        row = round_half_away(cy)
+        col = round_half_away(cx + (r_p + r_i) / 2.0)
         canvas[row, col] = 255.0
 
     pixels = np.clip(round_half_away(canvas), 0, 255).astype(np.float64)
@@ -244,8 +244,8 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
         area=int(np.count_nonzero(pupil_mask)),
     )
     bounds = IrisBounds(
-        left_x=int(round_half_away(cx - r_i)),
-        right_x=int(round_half_away(cx + r_i)),
+        left_x=round_half_away(cx - r_i),
+        right_x=round_half_away(cx + r_i),
     )
     return img, pupil, bounds
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irisvd import cli, ebp, harness, segmentation, svd, synth
+from irisvd import cli, ebp, harness, image_io, segmentation, svd, synth
 from irisvd.ebp import ModelFormatError, TrainConfig
 from irisvd.image_io import GrayImage, read_pgm_file, write_pgm_file
 from irisvd.iris_boundary import IrisBounds, mark_bounds
@@ -144,6 +144,67 @@ class TestSegment:
         for suffix, pixels in expected.items():
             dumped = read_pgm_file(tmp_path / f"{img.stem}_{suffix}.pgm")
             assert np.array_equal(dumped.pixels, pixels), suffix
+
+
+def dark_image(name: str) -> GrayImage:
+    """An all-black eye, or a full-height black band 80 px wide on grey."""
+    if name == "all_black":
+        return GrayImage(np.zeros((280, 320), np.uint8))
+    pixels = np.full((280, 320), 128, np.uint8)
+    pixels[:, 120:200] = 0
+    return GrayImage(pixels)
+
+
+class TestSpanningDarkRegion:
+    """A dark region from border to border is no pupil: the image fails at
+    the segment stage in segment and classify, and the next image runs."""
+
+    @pytest.mark.parametrize("command", ["segment", "classify"])
+    @pytest.mark.parametrize("name", ["all_black", "full_height_band"])
+    def test_fails_at_segment(self, eye_dir, model_file, tmp_path, capsys, command, name):
+        path = tmp_path / f"{name}.pgm"
+        write_pgm_file(path, dark_image(name))
+        good = sorted(eye_dir.glob("class001_*.pgm"))[0]
+        model = ["--model", str(model_file)] if command == "classify" else []
+        code, out, err = run_main([command, *model, str(path), str(good)], capsys)
+        assert code == 1
+        p = re.escape(str(path))
+        assert re.fullmatch(
+            f"{p}: stage 'segment' failed on {p}: the largest dark region "
+            r"\(\d+ pixels\) spans the image top to bottom\n",
+            err,
+        ), err
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(good)]
+
+
+class TestReadOnce:
+    """Each image is decoded once per run, and labelled once."""
+
+    def test_segment_reads_and_labels_each_image_once(self, eye_dir, monkeypatch, capsys):
+        reads, labels = [], []
+        read, label = harness.read_pgm_file, segmentation.label_components_8
+        monkeypatch.setattr(harness, "read_pgm_file", lambda p: reads.append(p) or read(p))
+        monkeypatch.setattr(
+            segmentation, "label_components_8", lambda m: labels.append(m) or label(m)
+        )
+        images = sorted(eye_dir.glob("*.pgm"))[:3]
+        code, out, _ = run_main(["segment", *map(str, images)], capsys)
+        assert code == 0 and len(out.splitlines()) == 4
+        assert reads == images
+        assert len(labels) == 3
+
+    def test_experiment_decodes_each_image_once(self, eye_dir, monkeypatch, capsys):
+        decodes, reads = [], []
+        decode_pgm, read = image_io.read_pgm, harness.read_pgm_file
+        monkeypatch.setattr(image_io, "read_pgm", lambda b: decodes.append(b) or decode_pgm(b))
+        monkeypatch.setattr(harness, "read_pgm_file", lambda p: reads.append(p) or read(p))
+        argv = ["experiment", "--data", str(eye_dir), "--classes", "2,3", "--dims", "3",
+                "--epochs", "50"]
+        code, out, _ = run_main(argv, capsys)
+        images = sorted(eye_dir.glob("*.pgm"))
+        assert code == 0 and len(out.splitlines()) == 3
+        assert len(decodes) == len(images) == 21
+        assert sorted(reads) == images
 
 
 class TestTrain:
@@ -415,7 +476,7 @@ class TestConfigFile:
             raise RuntimeError("spy")
 
         monkeypatch.setattr(cli, name, spy)
-        monkeypatch.setattr(cli, "_template_spectrum", lambda path, pcfg: np.zeros(40))
+        monkeypatch.setattr(cli, "_template_spectrum", lambda path, pcfg, img=None: np.zeros(40))
         cfg = tmp_path / "knob.cfg"
         cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "out"

@@ -228,7 +228,7 @@ class TestRunExperiment:
         # Two of the six classes, seven images each.
         calls = []
 
-        def fake_spectrum(path, cfg):
+        def fake_spectrum(path, cfg, img=None):
             calls.append(path)
             rng = np.random.default_rng(len(calls))
             return np.sort(rng.uniform(1.0, 10.0, 40))[::-1]
@@ -272,9 +272,9 @@ class TestRunExperiment:
         calls = []
         real = harness._template_spectrum
 
-        def spy(path, cfg):
+        def spy(path, cfg, img=None):
             calls.append(path)
-            return real(path, cfg)
+            return real(path, cfg, img)
 
         monkeypatch.setattr(harness, "_template_spectrum", spy)
         ds = harness.load_dataset(root)

@@ -356,6 +356,34 @@ class TestRoundHalfAway:
         out = round_half_away(np.array([0.5, 1.5, 2.49]))
         assert list(out) == [1, 2, 2]
 
+    # Signed zeros, halves, values a hair below a half, negatives, and large
+    # values up to where the array path's int64 ends.
+    SCALARS = [
+        0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+        -0.49999999999999994, 2.4999999999999996, -7.25, 1e15 + 0.5, -(2.0**52) - 0.5,
+        2.0**53, -(2.0**60), 9.2e18, -9.2e18, 123, -7, True,
+    ]
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32, np.array])
+    def test_scalar_matches_array(self, kind):
+        # A scalar takes the math path, a 0-d or 1-d array the numpy one.
+        dtype = np.float32 if kind is np.float32 else np.float64
+        want = round_half_away(np.array(self.SCALARS, dtype=dtype)).tolist()
+        got = [round_half_away(kind(v)) for v in self.SCALARS]
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+    def test_integer_scalars(self):
+        for v in (0, -1, 2**40, -(2**40), np.int64(-3), np.uint8(255)):
+            assert round_half_away(v) == int(v)
+            assert type(round_half_away(v)) is int
+
+    def test_non_finite_scalar_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            round_half_away(float("nan"))
+        with pytest.raises(OverflowError, match="infinity"):
+            round_half_away(np.float64("-inf"))
+
 
 class TestBlockDownsample:
     def test_constant_tile(self):

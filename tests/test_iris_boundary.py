@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irisvd.image_io import GrayImage
 from irisvd.iris_boundary import (
@@ -16,7 +18,9 @@ from irisvd.iris_boundary import (
     mark_bounds,
     scanline,
 )
-from irisvd.segmentation import PupilGeometry
+from irisvd.segmentation import PupilGeometry, pupil_geometry, threshold_dark
+from irisvd.synth import EyeSpec, class_seed_for, generate_eye
+from iris_boundary_reference import reference_detect_edge
 
 WIDTH = 320
 
@@ -157,6 +161,77 @@ class TestDetectEdge:
             vals[pos] = mag
             got = detect_edge(vals, pupil, "right", window, 40)
             assert got == ref, f"spike {mag} at {pos} moved edge to {got}"
+
+
+def edge_outcome(fn, profile, pupil, direction, window, jump):
+    try:
+        return fn(profile, pupil, direction, window, jump)
+    except EdgeNotFoundError as exc:
+        return f"EdgeNotFoundError: {exc}"
+
+
+@st.composite
+def edge_scan(draw):
+    """A profile of steps and noise, a pupil edge anywhere near it, and the knobs."""
+    width = draw(st.integers(1, 48))
+    levels = st.sampled_from([0, 20, 25, 26, 100, 200, 255]) | st.integers(0, 255)
+    profile = np.array(draw(st.lists(levels, min_size=width, max_size=width)), dtype=np.int64)
+    x_cp = draw(st.floats(-4.0, width + 4.0, allow_nan=False))
+    r_x = draw(st.floats(0.5, 12.0, allow_nan=False))
+    direction = draw(st.sampled_from(["left", "right"]))
+    window, jump = draw(st.integers(1, 8)), draw(st.integers(1, 80))
+    return profile, make_pupil(x_cp=x_cp, r_x=r_x), direction, window, jump
+
+
+class TestDetectEdgeAgainstReference:
+    """The prefix-sum scan gives the column, or the error text, of the
+    column-by-column loop (tests/iris_boundary_reference.py)."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(edge_scan())
+    def test_random_scans(self, scan):
+        assert edge_outcome(detect_edge, *scan) == edge_outcome(reference_detect_edge, *scan)
+
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_candidates_next_to_the_borders(self, direction, window):
+        # A step on each column of the scan, the first and last allowed
+        # candidates included, and a pupil edge on each column around them.
+        width = 4 * window + 6
+        for step in range(width + 1):
+            profile = np.zeros(width, dtype=np.int64)
+            if direction == "right":
+                profile[step:] = 200
+            else:
+                profile[:step] = 200
+            for edge in range(-2, width + 2):
+                pupil = make_pupil(x_cp=edge + (-1.0 if direction == "right" else 1.0),
+                                   r_x=1.0)
+                scan = (profile, pupil, direction, window, 40)
+                assert edge_outcome(detect_edge, *scan) == edge_outcome(
+                    reference_detect_edge, *scan
+                )
+
+    def test_scanlines_of_degraded_eyes(self):
+        # Both sides of every degraded eye, whole and cut into the iris band
+        # on the left and on the right, so that one side has no edge.
+        for c in range(1, 10):
+            for s in range(1, 9):
+                spec = EyeSpec(class_seed_for(0, c), s, eyelash_count=12,
+                               noise_amplitude=12, bright_spot=True)
+                img, truth, bounds = generate_eye(spec)
+                x = round(truth.x_cp)
+                depth = round((truth.r_x + (bounds.right_x - bounds.left_x) / 2) / 2)
+                for pixels in (img.pixels, img.pixels[:, x - depth:],
+                               img.pixels[:, : x + depth + 1]):
+                    eye = GrayImage(pixels)
+                    pupil = pupil_geometry(threshold_dark(eye))
+                    profile = scanline(eye, pupil)
+                    for direction in ("left", "right"):
+                        scan = (profile, pupil, direction, 5, 25)
+                        assert edge_outcome(detect_edge, *scan) == edge_outcome(
+                            reference_detect_edge, *scan
+                        )
 
 
 class TestIrisBounds:

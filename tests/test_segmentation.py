@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from irisvd.harness import PipelineConfig
 from irisvd.image_io import GrayImage, round_half_away
 from irisvd.segmentation import (
+    PupilGeometry,
     PupilNotFoundError,
     filter_small_regions,
     label_components_8,
@@ -23,6 +24,7 @@ from irisvd.segmentation import (
     threshold_dark,
 )
 from irisvd.synth import EyeSpec, class_seed_for, generate_eye
+from pupil_geometry_reference import reference_pupil_geometry
 from segmentation_reference import reference_label_components_8
 
 NEIGHBORS_8 = [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
@@ -356,7 +358,11 @@ class TestPupilGeometry:
         disk[5:10, 5:10] = 1  # small distractor
         masks = [(disk, 2500), (c_mask(200, 200, 100, 100, 30, 45), 2500)]
         rng = np.random.default_rng(13)
-        masks += [((rng.random((48, 48)) < d), 1) for d in (0.3, 0.45, 0.6)]
+        # Inside a one-pixel margin: at these densities the largest region
+        # of a bare random mask spans it, and is then no pupil.
+        masks += [
+            (np.pad(rng.random((48, 48)) < d, 1), 1) for d in (0.3, 0.45, 0.6)
+        ]
         fallbacks = 0
         for bits, min_area in masks:
             geom = pupil_geometry(bits, min_area=min_area)
@@ -366,3 +372,98 @@ class TestPupilGeometry:
             )
             fallbacks += (round_half_away(geom.x_cp), round_half_away(geom.y_cp)) not in big
         assert fallbacks >= 1  # the C-shaped mask's centroid lies in its hole
+
+
+def spans_image(region, shape) -> bool:
+    """Does the region touch two opposite borders of a mask of this shape?"""
+    h, w = shape
+    return bool(
+        (region.ys.min() == 0 and region.ys.max() == h - 1)
+        or (region.xs.min() == 0 and region.xs.max() == w - 1)
+    )
+
+
+def geometry_outcome(fn, bits, min_area):
+    try:
+        return fn(bits, min_area)
+    except PupilNotFoundError as exc:
+        return str(exc)
+
+
+class TestGeometryAgainstReference:
+    """pupil_geometry measures every pupil as the code before it did
+    (tests/pupil_geometry_reference.py), and differs from it only by
+    refusing a largest region that spans the mask."""
+
+    def assert_like_reference(self, bits, min_area):
+        got = geometry_outcome(pupil_geometry, bits, min_area)
+        want = geometry_outcome(reference_pupil_geometry, bits, min_area)
+        if got == want:
+            return False
+        regions = [r for r in label_components_8(bits) if r.area >= min_area]
+        pupil = max(regions, key=lambda r: (r.area, -r.label))
+        assert isinstance(want, PupilGeometry) and "spans the image" in got
+        assert spans_image(pupil, bits.shape)
+        return True
+
+    @pytest.mark.parametrize("min_area", [1, 2500])
+    @pytest.mark.parametrize("name", FIXED_MASKS)
+    def test_fixed_masks(self, name, min_area):
+        # Bare, most of them span the mask; inside a margin none does, and
+        # the spiral and the zigzag put the centroid off the region.
+        bits = FIXED_MASKS[name]
+        self.assert_like_reference(bits, min_area)
+        assert not self.assert_like_reference(np.pad(bits, 1), min_area)
+
+    def test_degraded_eyes(self):
+        masks = degraded_eye_masks()
+        assert not any(self.assert_like_reference(bits, 2500) for bits in masks)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        h=st.integers(1, 30),
+        w=st.integers(1, 30),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_masks(self, h, w, density, seed):
+        bits = np.random.default_rng(seed).random((h, w)) < density
+        self.assert_like_reference(bits, 1)
+        assert not self.assert_like_reference(np.pad(bits, 1), 1)
+
+
+class TestSpanningRegion:
+    """A dark region that touches two opposite borders is not a pupil."""
+
+    @pytest.mark.parametrize(
+        "cut, way",
+        [
+            ((slice(None), slice(None)), "top to bottom"),
+            ((slice(None), slice(120, 200)), "top to bottom"),
+            ((slice(100, 180), slice(None)), "left to right"),
+        ],
+        ids=["all_dark", "full_height_band", "full_width_band"],
+    )
+    def test_refused(self, cut, way):
+        bits = np.zeros((280, 320), dtype=bool)
+        bits[cut] = True
+        with pytest.raises(PupilNotFoundError, match=f"spans the image {way}"):
+            pupil_geometry(bits)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            (slice(0, 60), slice(0, 60)),
+            (slice(0, 60), slice(100, 180)),
+            (slice(0, 279), slice(100, 180)),
+            (slice(1, 280), slice(100, 180)),
+            (slice(100, 180), slice(0, 319)),
+            (slice(100, 180), slice(1, 320)),
+        ],
+        ids=["corner", "one_border", "short_of_bottom", "short_of_top", "short_of_right",
+             "short_of_left"],
+    )
+    def test_kept(self, cut):
+        bits = np.zeros((280, 320), dtype=bool)
+        bits[cut] = True
+        assert pupil_geometry(bits).area == bits.sum()
