@@ -34,6 +34,7 @@ from .harness import (
     GridConfig,
     PipelineConfig,
     PipelineStageError,
+    _template_spectra,
     _template_spectrum,
     emit_report,
     fit_classifier,
@@ -309,7 +310,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     train_set, _ = split(ds, args.n_train)
     files = [p for cls in ds.classes for p in train_set[cls]]
-    spectra = {p: _template_spectrum(p, pcfg, ds.images[p]) for p in files}
+    spectra = _template_spectra(files, pcfg, ds.images)
     trained, report = fit_classifier(spectra, ds.classes, train_set, k, tcfg)
 
     out = Path(args.out)

@@ -42,7 +42,7 @@ from .segmentation import (
     pupil_geometry,
     threshold_dark,
 )
-from .svd import Matrix, svd_factorize
+from .svd import Matrix, svd_factorize, svd_spectra
 from .template import extract_iris_basis
 
 MIN_SAMPLES_PER_CLASS = 3
@@ -246,6 +246,22 @@ def _template_spectrum(
     img, _, pupil, bounds = segment_eye(path, cfg, img)
     tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
     return _stage("svd", path, svd_factorize, Matrix(entries=tpl)).s
+
+
+def _template_spectra(paths, cfg: PipelineConfig, images) -> dict[Path, np.ndarray]:
+    """_template_spectrum of every path, with the SVDs batched.
+
+    Each image, decoded already in images, is segmented and templated in
+    order, so the first failing stage raises as _template_spectrum would
+    raise it; every template's spectrum then comes from one svd_spectra
+    call.
+    """
+    templates = []
+    for path in paths:
+        img, _, pupil, bounds = segment_eye(path, cfg, images[path])
+        tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
+        templates.append(Matrix(entries=tpl).entries)
+    return dict(zip(paths, svd_spectra(np.array(templates))))
 
 
 def cell_seed(base_seed: int, n_classes: int, dim: int) -> int:

@@ -10,6 +10,11 @@ needs no rotation) and scatters them back once.  Each round written back is
 logged, and V is the log replayed on the identity.  V and U are built only on
 first read: the classifier reads only the leading singular values, a few tens
 of numbers that keep most of a 40x40 template's energy.
+
+svd_spectra runs the same rounds on a stack of matrices at once and returns
+their singular values only, byte-identical to svd_factorize's.  svd_factorize
+keeps its own loop: at one matrix per call the batched loop is about 10%
+slower.
 """
 
 from __future__ import annotations
@@ -162,8 +167,10 @@ def _sweep(wt: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _rotate(x3: np.ndarray, cs: np.ndarray) -> None:
-    """Rotate a gathered block in place: p' = c p - s q, q' = s p + c q."""
-    xc, xs = x3 * cs[0, :, None], x3 * cs[1, :, None]
+    """Rotate a gathered block in place: p' = c p - s q, q' = s p + c q.
+
+    x3 is (2, h, ..., m) and cs (2, h, ...): one c and s per pair and matrix."""
+    xc, xs = x3 * cs[0, ..., None], x3 * cs[1, ..., None]
     np.subtract(xc[0], xs[1], out=x3[0])
     np.add(xs[0], xc[1], out=x3[1])
 
@@ -212,3 +219,72 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     f = SvdFactorization(None, sigma, None)
     f._uv = vectors
     return f
+
+
+# Matrices that svd_spectra rotates together.  On 40x40 templates a chunk
+# of 16 to 48 runs 3.5x faster than svd_factorize one at a time; 63 at once
+# spill the working set (about 3 MB) out of a 2 MB L2 and run 1.5x slower.
+SPECTRA_CHUNK = 32
+
+
+def svd_spectra(stack: np.ndarray) -> np.ndarray:
+    """Singular values of each tall matrix of a (B, m, n) stack, descending.
+
+    Row b is byte-identical to svd_factorize(Matrix(stack[b])).s.  The
+    matrices are swept in chunks of SPECTRA_CHUNK, and no rotation log is
+    kept, so there are no singular vectors."""
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] < a.shape[2]:
+        raise ValueError(f"expected a (B, m, n) stack with m >= n, got shape {a.shape}")
+    chunks = range(0, len(a), SPECTRA_CHUNK)
+    return np.concatenate([_stack_spectra(a[i : i + SPECTRA_CHUNK]) for i in chunks])
+
+
+def _stack_spectra(a: np.ndarray) -> np.ndarray:
+    """_sweep's rounds on every matrix of the stack at once, then the norms.
+
+    Every per-pair quantity is (h, B), one column per matrix, and each
+    element is computed as _sweep computes it.  A matrix whose round needs
+    no rotation while others do is rotated by c = 1, s = 0, which changes
+    at most the sign of a zero.  A matrix that rotated nothing in a sweep
+    is written back and dropped from the working stack."""
+    nb, m, n = a.shape
+    h = n // 2
+    # wt[j, b] is column j of matrix b: each Gram sum reduces contiguous
+    # memory, in _sweep's order.
+    wt = a.transpose(2, 0, 1).copy()
+    # C-ordered (B, m, n), so the norm sums run in svd_factorize's order.
+    w = np.empty((nb, m, n))
+    live = np.arange(nb)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = np.zeros(live.size, dtype=bool)
+        for pq in _round_robin_pairs(n):
+            x = wt.take(pq, axis=0)
+            x3 = x.reshape(2, h, live.size, m)
+            gram = np.einsum("kjbi,ljbi->kljb", x3, x3)
+            app, aqq, apq = gram[0, 0], gram[1, 1], gram[0, 1]
+            denom = np.sqrt(app * aqq)
+            off = np.divide(np.abs(apq), denom, out=np.zeros(denom.shape), where=denom > 0.0)
+            rotate = off > JACOBI_TOL
+            if not np.count_nonzero(rotate):
+                continue
+            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(denom.shape), where=rotate)
+            abs_tau = np.abs(tau)
+            if abs_tau.max() > _TAU_MAX:
+                rotate &= abs_tau <= _TAU_MAX
+                tau[~rotate] = 0.0
+            rotated |= rotate.any(axis=0)
+            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
+            cs = np.empty((2, h, live.size))
+            np.divide(1.0, np.sqrt(1.0 + t * t), out=cs[0])
+            np.multiply(t, cs[0], out=cs[1])
+            _rotate(x3, cs)
+            wt[pq] = x
+        w[live[~rotated]] = wt[:, ~rotated].transpose(1, 2, 0)
+        live, wt = live[rotated], wt[:, rotated]
+        if not live.size:
+            break
+    w[live] = wt.transpose(1, 2, 0)
+    norms = np.sqrt(np.einsum("bij,bij->bj", w, w))
+    order = np.argsort(-norms, axis=1, kind="stable")
+    return np.take_along_axis(norms, order, axis=1)

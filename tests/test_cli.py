@@ -242,6 +242,27 @@ class TestTrain:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
+    def test_blank_training_image_fails_its_stage(self, eye_dir, tmp_path, capsys):
+        # Segmenting and templating still run per image, in file order, so
+        # the first failure names its stage and file as it always has.
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in eye_dir.glob("*.pgm"):
+            (data / f.name).write_bytes(f.read_bytes())
+        blank = data / "class002_sample03.pgm"
+        size = read_pgm_file(blank).pixels.shape
+        write_pgm_file(blank, GrayImage(pixels=np.full(size, 255, np.uint8)))
+        with pytest.raises(harness.PipelineStageError) as info:
+            harness._template_spectrum(blank, harness.PipelineConfig())
+        out = tmp_path / "m.txt"
+        code, stdout, err = run_main(
+            ["train", "--data", str(data), "--epochs", "50", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {info.value}\n"
+        assert err.startswith(f"error: stage 'segment' failed on {blank}: ")
+        assert not out.exists() and not cli._labels_path(out).exists()
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = cli.main(
             ["train", "--data", str(tmp_path / "nowhere"), "--out",
@@ -345,6 +366,27 @@ class TestExperiment:
             assert stdout == out.read_text()
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_blank_training_image_fails_its_stage(self, eye_dir, tmp_path, capsys):
+        # Segmenting and templating still run per image, in file order, so
+        # the first failure names its stage and file as it always has.
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in eye_dir.glob("*.pgm"):
+            (data / f.name).write_bytes(f.read_bytes())
+        blank = data / "class002_sample03.pgm"
+        size = read_pgm_file(blank).pixels.shape
+        write_pgm_file(blank, GrayImage(pixels=np.full(size, 255, np.uint8)))
+        with pytest.raises(harness.PipelineStageError) as info:
+            harness._template_spectrum(blank, harness.PipelineConfig())
+        out = tmp_path / "m.txt"
+        code, stdout, err = run_main(
+            ["train", "--data", str(data), "--epochs", "50", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {info.value}\n"
+        assert err.startswith(f"error: stage 'segment' failed on {blank}: ")
+        assert not out.exists() and not cli._labels_path(out).exists()
 
     def test_missing_data_dir(self, tmp_path, capsys):
         code = cli.main(["experiment", "--data", str(tmp_path / "gone")])
@@ -476,7 +518,9 @@ class TestConfigFile:
             raise RuntimeError("spy")
 
         monkeypatch.setattr(cli, name, spy)
-        monkeypatch.setattr(cli, "_template_spectrum", lambda path, pcfg, img=None: np.zeros(40))
+        monkeypatch.setattr(
+            cli, "_template_spectra", lambda paths, pcfg, images: {p: np.zeros(40) for p in paths}
+        )
         cfg = tmp_path / "knob.cfg"
         cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "out"
@@ -622,6 +666,34 @@ class TestFeaturePath:
         assert [code for code, _, _ in got] == [0, 0, 0]
         assert got == want
         assert model.read_bytes() == want_model
+
+
+    def test_only_train_batches_the_svd(self, eye_dir, model_file, tmp_path, monkeypatch,
+                                         capsys):
+        # train takes every training spectrum from one batched call;
+        # classify and experiment factorize each image on its own.
+        factorized, batched = [], []
+        factorize, spectra = harness.svd_factorize, harness.svd_spectra
+        monkeypatch.setattr(
+            harness, "svd_factorize", lambda a: factorized.append(a) or factorize(a)
+        )
+        monkeypatch.setattr(
+            harness, "svd_spectra", lambda stack: batched.append(len(stack)) or spectra(stack)
+        )
+        images = sorted(eye_dir.glob("*.pgm"))
+        runs = {
+            "train": (["train", "--data", str(eye_dir), "--dim", "10", "--epochs", "200",
+                       "--out", str(tmp_path / "m.txt")], 0, [15]),
+            "classify": (["classify", "--model", str(model_file), *map(str, images[:2])],
+                         2, []),
+            "experiment": (["experiment", "--data", str(eye_dir), "--classes", "2,3",
+                            "--dims", "3", "--epochs", "50"], len(images), []),
+        }
+        for command, (argv, factorizations, stacks) in runs.items():
+            factorized.clear()
+            batched.clear()
+            assert run_main(argv, capsys)[0] == 0, command
+            assert (len(factorized), batched) == (factorizations, stacks), command
 
 
 HELP_COMMANDS = [[], ["synth"], ["segment"], ["train"], ["classify"], ["experiment"]]
@@ -784,6 +856,24 @@ class TestBenchmarkHooks:
         want = [(int(r[3]), r[4] == "max_epochs") for r in rows]
         assert got == want
         assert len(want) == 4 and 0 < sum(c for _, c in want) < 4
+
+    def test_train_setup_records_every_layer(self, eye_dir, tmp_path, capsys):
+        # classify's set-up trains its model; every set-up layer but the
+        # benchmark's own synth call must show up in the traced train.
+        tracing, bench = load_tracing(), load_perfbench("run.py")
+        tracer = tracing.Tracer()
+        tracer.install((cli, harness, segmentation, synth))
+        argv = ["train", "--data", str(eye_dir), "--dim", "20", "--epochs", "200",
+                "--out", str(tmp_path / "m.txt")]
+        try:
+            with tracer.request("cli", kind="setup"):
+                assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        layers = [name for name in bench.Classify.setup_layers if name != "synth.generate"]
+        assert layers == ["harness.load_dataset", "ebp.train"]
+        assert tracing.missing_layers(tracer.spans, layers) == []
 
     def test_classify_records_every_layer(self, eye_dir, model_file, capsys):
         # One image with a rank-deficient template, one without.

@@ -6,6 +6,10 @@ only then is it trusted to judge svd_factorize.
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +20,11 @@ import svd_reference
 from eig_oracle import jacobi_eigh, singular_values_via_gram
 from irisvd import harness, svd
 from irisvd.image_io import GrayImage, write_pgm_file
-from irisvd.svd import Matrix, SvdFactorization, svd_factorize
+from irisvd.svd import Matrix, SvdFactorization, svd_factorize, svd_spectra
 from irisvd.synth import EyeSpec, class_seed_for, generate_eye
-from irisvd.template import extract_iris_basis
+from irisvd.template import TemplateExtractionError, extract_iris_basis
 from svd_reference import reference_factorize, stacked_factorize
+from test_cli import load_perfbench
 
 
 class TestEigOracle:
@@ -230,14 +235,22 @@ _MATRIX_IDS = [
     "rank5_40x40", "odd_7x3", "odd_11x5", "square_9x9", "wide_3x8",
     "wide_rank2_4x9",
 ]
-_SMALL_MATRICES = arrays(
-    np.float64,
-    st.tuples(st.integers(1, 7), st.integers(1, 7)),
-    elements=st.one_of(
-        st.integers(-2, 2).map(float),
-        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
-    ),
+_ENTRIES = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
 )
+_SMALL_MATRICES = arrays(
+    np.float64, st.tuples(st.integers(1, 7), st.integers(1, 7)), elements=_ENTRIES
+)
+
+
+def _tight_crop_template(tmp_path) -> np.ndarray:
+    """The template of an eye cropped close around its iris."""
+    img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
+    path = tmp_path / "crop.pgm"
+    write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
+    img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
+    return extract_iris_basis(img, pupil, bounds)
 
 
 class TestSameBitsAsReference:
@@ -255,11 +268,7 @@ class TestSameBitsAsReference:
         assert deficient == 6
 
     def test_tight_crop_template(self, tmp_path):
-        img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
-        path = tmp_path / "crop.pgm"
-        write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
-        img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
-        a = Matrix(extract_iris_basis(img, pupil, bounds))
+        a = Matrix(_tight_crop_template(tmp_path))
         assert _rank_deficient(assert_same_as_reference(a).s)
 
     @pytest.mark.parametrize("raw", _MATRICES, ids=_MATRIX_IDS)
@@ -308,11 +317,7 @@ class TestSameBytesAsStackedLoop:
         assert new[0] > 14 * 9
 
     def test_tight_crop_template(self, tmp_path):
-        img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
-        path = tmp_path / "crop.pgm"
-        write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
-        img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
-        a = Matrix(extract_iris_basis(img, pupil, bounds))
+        a = Matrix(_tight_crop_template(tmp_path))
         assert _rank_deficient(assert_same_bytes_as_stacked(a).s)
 
     def test_degraded_templates(self, tmp_path):
@@ -342,6 +347,138 @@ class TestSameBytesAsStackedLoop:
     @given(_SMALL_MATRICES)
     def test_small_matrices(self, raw):
         assert_same_bytes_as_stacked(Matrix(raw))
+
+
+def assert_rows_are_factorize_spectra(stack: np.ndarray) -> np.ndarray:
+    got = svd_spectra(stack)
+    assert got.shape == (stack.shape[0], stack.shape[2])
+    for row, a in zip(got, stack):
+        assert row.tobytes() == svd_factorize(Matrix(a)).s.tobytes()
+    return got
+
+
+@st.composite
+def _tall_stacks(draw):
+    """1-7 tall matrices of one shape, some with a duplicated or a zero column."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(n, 9))
+    b = draw(st.integers(1, 7))
+    stack = draw(arrays(np.float64, (b, m, n), elements=_ENTRIES))
+    for a in stack:
+        if n > 1 and draw(st.booleans()):
+            a[:, draw(st.integers(0, n - 1))] = a[:, draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            a[:, draw(st.integers(0, n - 1))] = 0.0
+    return stack
+
+
+def _benchmark_degraded_eyes(seed: int, out: Path) -> list[Path]:
+    """The degraded eyes of the benchmark's segment_degraded workload, built
+    by perfbench/run.py itself: a third whole, the rest cropped on one side."""
+    bench = load_perfbench("run.py")
+
+    class Client:
+        def request(self, name, kind):
+            return contextlib.nullcontext()
+
+        def setup_call(self, argv):
+            return ""
+
+    workload = bench.SegmentDegraded(Client(), seed, out)
+    workload.build(out)
+    return [Path(argv[-1]) for argv in workload.items()]
+
+
+class TestSpectraStack:
+    """Each row of svd_spectra is svd_factorize's spectrum, byte for byte."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_tall_stacks())
+    def test_small_stacks(self, stack):
+        assert_rows_are_factorize_spectra(stack)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [m for m in _MATRICES if m.shape[0] >= m.shape[1]],
+        ids=[i for i, m in zip(_MATRIX_IDS, _MATRICES) if m.shape[0] >= m.shape[1]],
+    )
+    def test_matrices_alone(self, raw):
+        assert_rows_are_factorize_spectra(raw[None])
+
+    def test_vanishing_pair_beside_a_rotating_matrix(self):
+        # tau * tau would overflow for the first matrix's pair while the
+        # second matrix rotates; warnings are errors here.
+        a = np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]])
+        stack = np.stack([a, _uniform(40, 3, 2), a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rows_are_factorize_spectra(stack)
+
+    def test_converged_matrices_leave_the_stack(self, monkeypatch):
+        # Orthogonal columns rotate nothing in the first sweep, nearly
+        # orthogonal ones stop within a few and a random 40x40 after about
+        # ten: the stack shrinks after the sweep in which a matrix rotated
+        # nothing.
+        live = []
+        rotate = svd._rotate
+
+        def spy(x3, cs):
+            if x3.ndim == 4:  # (2, h, B, m) from svd_spectra, not svd_factorize's
+                live.append(x3.shape[2])
+            rotate(x3, cs)
+
+        monkeypatch.setattr(svd, "_rotate", spy)
+        stack = np.stack([
+            np.eye(40) * np.arange(40.0, 0.0, -1.0),
+            np.eye(40) * np.arange(40.0, 0.0, -1.0) + 1e-3 * _uniform(41, 40, 40),
+            _uniform(42, 40, 3) @ _uniform(43, 3, 40),
+            _uniform(44, 40, 40),
+        ])
+        assert_rows_are_factorize_spectra(stack)
+        assert sorted(set(live), reverse=True) == [4, 3, 2, 1]
+        assert live == sorted(live, reverse=True)
+
+    def test_chunks(self, monkeypatch):
+        sizes = []
+        stack_spectra = svd._stack_spectra
+        monkeypatch.setattr(svd, "SPECTRA_CHUNK", 2)
+        monkeypatch.setattr(
+            svd, "_stack_spectra", lambda a: sizes.append(len(a)) or stack_spectra(a)
+        )
+        assert_rows_are_factorize_spectra(_uniform(45, 5, 8, 6))
+        assert sizes == [2, 2, 1]
+
+    def test_synth_templates(self):
+        # synth 9x12, data seed 0; its first 7 samples per class are synth 9x7.
+        templates = [
+            extract_iris_basis(*generate_eye(EyeSpec(class_seed_for(0, cls), sample)))
+            for cls in range(1, 10)
+            for sample in range(1, 13)
+        ]
+        got = assert_rows_are_factorize_spectra(np.array(templates))
+        assert sum(map(_rank_deficient, got)) > 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_degraded_templates(self, seed, tmp_path):
+        templates, cropped = [], 0
+        for path in _benchmark_degraded_eyes(seed, tmp_path):
+            try:
+                img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
+                templates.append(extract_iris_basis(img, pupil, bounds))
+            except (harness.PipelineStageError, TemplateExtractionError):
+                continue
+            cropped += img.width < EyeSpec.width
+        assert 0 < cropped < len(templates)
+        assert_rows_are_factorize_spectra(np.array(templates))
+
+    def test_tight_crop_template(self, tmp_path):
+        [s] = assert_rows_are_factorize_spectra(_tight_crop_template(tmp_path)[None])
+        assert _rank_deficient(s)
+
+    def test_rejects_wide_and_flat_input(self):
+        for bad in (np.zeros((2, 3, 4)), np.zeros((3, 4))):
+            with pytest.raises(ValueError, match="stack"):
+                svd_spectra(bad)
 
 
 class TestFeatureVector:
