@@ -234,6 +234,12 @@ def segment_eye(
     return img, mask, pupil, bounds
 
 
+def _template(path, cfg: PipelineConfig, img: GrayImage | None) -> np.ndarray:
+    """The 40x40 iris-basis template of one image; img is as for segment_eye."""
+    img, _, pupil, bounds = segment_eye(path, cfg, img)
+    return _stage("template", path, extract_iris_basis, img, pupil, bounds)
+
+
 def _template_spectrum(
     path, cfg: PipelineConfig, img: GrayImage | None = None
 ) -> np.ndarray:
@@ -243,9 +249,7 @@ def _template_spectrum(
     which the CLI checks before any image is read.  img is as for
     segment_eye.
     """
-    img, _, pupil, bounds = segment_eye(path, cfg, img)
-    tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
-    return _stage("svd", path, svd_factorize, Matrix(entries=tpl)).s
+    return _stage("svd", path, svd_factorize, Matrix(entries=_template(path, cfg, img))).s
 
 
 def _template_spectra(paths, cfg: PipelineConfig, images) -> dict[Path, np.ndarray]:
@@ -256,11 +260,7 @@ def _template_spectra(paths, cfg: PipelineConfig, images) -> dict[Path, np.ndarr
     raise it; every template's spectrum then comes from one svd_spectra
     call.
     """
-    templates = []
-    for path in paths:
-        img, _, pupil, bounds = segment_eye(path, cfg, images[path])
-        tpl = _stage("template", path, extract_iris_basis, img, pupil, bounds)
-        templates.append(Matrix(entries=tpl).entries)
+    templates = [Matrix(entries=_template(p, cfg, images[p])).entries for p in paths]
     return dict(zip(paths, svd_spectra(np.array(templates))))
 
 

@@ -3,18 +3,20 @@
 A = U diag(s) V^T by one-sided Jacobi rotations: pairs of columns of a
 working copy W of A are rotated until every pair is orthogonal; the column
 norms are then the singular values and the normalized columns form U.  A
-round-robin schedule visits every pair once per sweep.  W is held one column
-per row, so a round gathers the p then the q columns of its disjoint pairs in
-one take, rotates them in one fixed-shape step (c = 1, s = 0 for a pair that
-needs no rotation) and scatters them back once.  Each round written back is
-logged, and V is the log replayed on the identity.  V and U are built only on
-first read: the classifier reads only the leading singular values, a few tens
-of numbers that keep most of a 40x40 template's energy.
+round-robin schedule visits every pair once per sweep.
 
-svd_spectra runs the same rounds on a stack of matrices at once and returns
-their singular values only, byte-identical to svd_factorize's.  svd_factorize
-keeps its own loop: at one matrix per call the batched loop is about 10%
-slower.
+One sweep loop serves a stack of B matrices, B = 1 included.  W is held one
+column per row, matrix by matrix, so a round gathers the p then the q columns
+of its disjoint pairs in one take, as one flat (2, h*B, m) block with a row
+per pair and matrix.  It rotates the block in one fixed-shape step (c = 1,
+s = 0 for a pair that needs no rotation) and scatters it back once.  A matrix
+that rotated nothing in a sweep leaves the stack.
+
+svd_factorize sweeps one matrix and logs each round written back; V is the
+log replayed on the identity.  V and U are built only on first read: the
+classifier reads only the leading singular values, a few tens of numbers
+that keep most of a 40x40 template's energy.  svd_spectra sweeps a stack in
+chunks and keeps no log; its rows are byte-identical to svd_factorize's s.
 """
 
 from __future__ import annotations
@@ -126,16 +128,24 @@ def _fill_orthonormal(u: np.ndarray, col: int) -> np.ndarray:
     return best
 
 
-def _sweep(wt: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rotate the rows of wt until a sweep rotates none; return the round log."""
-    n, m = wt.shape
-    h = n // 2
-    log = []
+def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
+    """Rotate each matrix of wt until a sweep rotates none; return them swept.
+
+    wt is (n, B, m): wt[j, b] is column j of matrix b, so each Gram sum
+    reduces contiguous memory, and every bit of the result depends on that
+    order.  A matrix with no pair to rotate in a round that rotates others
+    is rotated by c = 1, s = 0, which changes at most the sign of a zero.
+    The result is a C-ordered (B, m, n) stack.  Each round written back is
+    appended to log as (pq, cs) when a list is given."""
+    n, nb, m = wt.shape
+    w = np.empty((nb, m, n))
+    live = np.arange(nb)
     for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
+        hits = np.zeros(n // 2 * live.size, dtype=bool)
         for pq in _round_robin_pairs(n):
             x = wt.take(pq, axis=0)
-            x3 = x.reshape(2, h, m)
+            x3 = x.reshape(2, -1, m)
+            h = x3.shape[1]
             gram = np.einsum("kji,lji->klj", x3, x3)
             app, aqq, apq = gram[0, 0], gram[1, 1], gram[0, 1]
             denom = np.sqrt(app * aqq)
@@ -150,7 +160,7 @@ def _sweep(wt: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
                 # pair's column norms differ over 1e142-fold.  Leave it be.
                 rotate &= abs_tau <= _TAU_MAX
                 tau[~rotate] = 0.0
-            rotated = rotated or np.count_nonzero(rotate) > 0
+            hits |= rotate
             # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
             t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
             cs = np.empty((2, h))
@@ -158,12 +168,22 @@ def _sweep(wt: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             np.multiply(t, cs[0], out=cs[1])
             _rotate(x3, cs)
             wt[pq] = x
-            # Logged even if the guard dropped every pair: V replays each write-back of W.
-            log.append((pq, cs))
-        if not rotated:
-            # W is unchanged, so every later sweep would be the same.
+            if log is not None:
+                # Logged even if the guard dropped every pair: V replays
+                # each write-back of W.
+                log.append((pq, cs))
+        # A matrix that rotated nothing is unchanged, so every later sweep
+        # would be the same: it leaves the stack.  While all rotate, the
+        # stack is kept as it is, uncopied.
+        rotated = hits.reshape(-1, live.size).any(axis=0)
+        if rotated.all():
+            continue
+        w[live[~rotated]] = wt[:, ~rotated].transpose(1, 2, 0)
+        live, wt = live[rotated], wt[:, rotated]
+        if not live.size:
             break
-    return log
+    w[live] = wt.transpose(1, 2, 0)
+    return w
 
 
 def _rotate(x3: np.ndarray, cs: np.ndarray) -> None:
@@ -191,14 +211,11 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     Columns whose norm vanishes (rank deficiency) get orthonormal stand-in U
     columns; each V column is sign-fixed so its largest-magnitude entry is
     nonnegative, which makes the result unique for almost every input."""
-    # Row j of wt is column j of W, so each column sum of a round reduces
-    # contiguous memory: every bit of the result depends on that order.
-    n, wt = a.n, a.entries.T.copy()
-    log = _sweep(wt)
+    n, log = a.n, []
     # w keeps the input's memory layout (Fortran order for wide input),
     # because the order of the norm sums below follows it.
     w = np.empty_like(a.entries)
-    w[...] = wt.T
+    w[...] = _sweep(a.entries.T[:, None].copy(), log)[0]
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
@@ -221,9 +238,10 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     return f
 
 
-# Matrices that svd_spectra rotates together.  On 40x40 templates a chunk
-# of 16 to 48 runs 3.5x faster than svd_factorize one at a time; 63 at once
-# spill the working set (about 3 MB) out of a 2 MB L2 and run 1.5x slower.
+# Matrices that svd_spectra rotates together.  On 45 and on 63 40x40
+# templates, chunks of 16 to 32 run within about 5% of each other (24 led
+# in two series of three), 48 about 5-10% slower and one chunk of 63 1.1-1.3x
+# slower; a chunk of 32 runs 3.2x faster than svd_factorize one at a time.
 SPECTRA_CHUNK = 32
 
 
@@ -241,50 +259,11 @@ def svd_spectra(stack: np.ndarray) -> np.ndarray:
 
 
 def _stack_spectra(a: np.ndarray) -> np.ndarray:
-    """_sweep's rounds on every matrix of the stack at once, then the norms.
+    """_sweep on every matrix of the (B, m, n) stack at once, then the norms.
 
-    Every per-pair quantity is (h, B), one column per matrix, and each
-    element is computed as _sweep computes it.  A matrix whose round needs
-    no rotation while others do is rotated by c = 1, s = 0, which changes
-    at most the sign of a zero.  A matrix that rotated nothing in a sweep
-    is written back and dropped from the working stack."""
-    nb, m, n = a.shape
-    h = n // 2
-    # wt[j, b] is column j of matrix b: each Gram sum reduces contiguous
-    # memory, in _sweep's order.
-    wt = a.transpose(2, 0, 1).copy()
-    # C-ordered (B, m, n), so the norm sums run in svd_factorize's order.
-    w = np.empty((nb, m, n))
-    live = np.arange(nb)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = np.zeros(live.size, dtype=bool)
-        for pq in _round_robin_pairs(n):
-            x = wt.take(pq, axis=0)
-            x3 = x.reshape(2, h, live.size, m)
-            gram = np.einsum("kjbi,ljbi->kljb", x3, x3)
-            app, aqq, apq = gram[0, 0], gram[1, 1], gram[0, 1]
-            denom = np.sqrt(app * aqq)
-            off = np.divide(np.abs(apq), denom, out=np.zeros(denom.shape), where=denom > 0.0)
-            rotate = off > JACOBI_TOL
-            if not np.count_nonzero(rotate):
-                continue
-            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(denom.shape), where=rotate)
-            abs_tau = np.abs(tau)
-            if abs_tau.max() > _TAU_MAX:
-                rotate &= abs_tau <= _TAU_MAX
-                tau[~rotate] = 0.0
-            rotated |= rotate.any(axis=0)
-            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
-            cs = np.empty((2, h, live.size))
-            np.divide(1.0, np.sqrt(1.0 + t * t), out=cs[0])
-            np.multiply(t, cs[0], out=cs[1])
-            _rotate(x3, cs)
-            wt[pq] = x
-        w[live[~rotated]] = wt[:, ~rotated].transpose(1, 2, 0)
-        live, wt = live[rotated], wt[:, rotated]
-        if not live.size:
-            break
-    w[live] = wt.transpose(1, 2, 0)
+    The norms are summed over the C-ordered result in svd_factorize's order,
+    and no log is kept."""
+    w = _sweep(a.transpose(2, 0, 1).copy())
     norms = np.sqrt(np.einsum("bij,bij->bj", w, w))
     order = np.argsort(-norms, axis=1, kind="stable")
     return np.take_along_axis(norms, order, axis=1)

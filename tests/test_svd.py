@@ -350,10 +350,13 @@ class TestSameBytesAsStackedLoop:
 
 
 def assert_rows_are_factorize_spectra(stack: np.ndarray) -> np.ndarray:
+    """Each row is svd_factorize's s and, since both run svd._sweep, also
+    the s of the stacked reference loop, which shares no code with it."""
     got = svd_spectra(stack)
     assert got.shape == (stack.shape[0], stack.shape[2])
     for row, a in zip(got, stack):
         assert row.tobytes() == svd_factorize(Matrix(a)).s.tobytes()
+        assert row.tobytes() == stacked_factorize(Matrix(a)).s.tobytes()
     return got
 
 
@@ -423,8 +426,7 @@ class TestSpectraStack:
         rotate = svd._rotate
 
         def spy(x3, cs):
-            if x3.ndim == 4:  # (2, h, B, m) from svd_spectra, not svd_factorize's
-                live.append(x3.shape[2])
+            live.append(cs.shape[1] // 20)  # a round of n = 40 has 20 pairs a matrix
             rotate(x3, cs)
 
         monkeypatch.setattr(svd, "_rotate", spy)
@@ -434,6 +436,8 @@ class TestSpectraStack:
             _uniform(42, 40, 3) @ _uniform(43, 3, 40),
             _uniform(44, 40, 40),
         ])
+        svd_spectra(stack)
+        monkeypatch.undo()
         assert_rows_are_factorize_spectra(stack)
         assert sorted(set(live), reverse=True) == [4, 3, 2, 1]
         assert live == sorted(live, reverse=True)
@@ -447,6 +451,25 @@ class TestSpectraStack:
         )
         assert_rows_are_factorize_spectra(_uniform(45, 5, 8, 6))
         assert sizes == [2, 2, 1]
+
+    def test_one_sweep_loop(self, monkeypatch):
+        # svd_factorize sweeps its matrix with a log, svd_spectra each chunk
+        # without one.
+        calls = []
+        sweep = svd._sweep
+
+        def spy(wt, log=None):
+            calls.append((wt.shape[1], log))
+            return sweep(wt, log)
+
+        monkeypatch.setattr(svd, "_sweep", spy)
+        svd_factorize(Matrix(_uniform(46, 9, 6)))
+        [(size, log)] = calls
+        assert size == 1 and isinstance(log, list) and log
+        calls.clear()
+        monkeypatch.setattr(svd, "SPECTRA_CHUNK", 2)
+        svd_spectra(_uniform(47, 5, 8, 6))
+        assert calls == [(2, None), (2, None), (1, None)]
 
     def test_synth_templates(self):
         # synth 9x12, data seed 0; its first 7 samples per class are synth 9x7.
