@@ -43,7 +43,7 @@ from .harness import (
     segment_eye,
     split,
 )
-from .image_io import GrayImage, read_pgm_file, write_pgm_file
+from .image_io import GrayImage, write_pgm_file
 from .iris_boundary import EdgeConfig, bounds_csv_line, mark_bounds
 from .segmentation import filter_small_regions, geometry_csv_line, label_components_8
 from .synth import MANIFEST_NAME, generate_dataset
@@ -252,10 +252,7 @@ def cmd_synth(args) -> int:
     if knobs.get("samples_per_class", 1) < 1:
         raise ConfigError(f"samples_per_class must be >= 1, got {knobs['samples_per_class']}")
     out = Path(args.out)
-    files = generate_dataset(args.classes, out_dir=out, **knobs)
-    if args.ascii_pgm:
-        for f in files:
-            write_pgm_file(f, read_pgm_file(f), ascii=True)
+    files = generate_dataset(args.classes, out_dir=out, ascii=args.ascii_pgm, **knobs)
     print(f"{len(files)} {out / MANIFEST_NAME}")
     return 0
 

@@ -34,7 +34,13 @@ def round_half_away(values):
         n = math.floor(abs(x) + 0.5)
         return -n if x < 0 else n
     arr = np.asarray(values, dtype=np.float64)
-    out = np.sign(arr) * np.floor(np.abs(arr) + 0.5)
+    # Every step writes into one array: on a whole image, fresh temporaries
+    # cost more than the arithmetic.  copysign gives the sign(x) * floor(...)
+    # of the formula, up to the sign of a zero.
+    out = np.abs(arr, out=np.empty_like(arr))
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, arr, out=out)
     if np.ndim(values) == 0:
         return int(out)
     return out.astype(np.int64)

@@ -14,13 +14,19 @@ detector: radial slope along a row stays too small to fake a boundary rise,
 and the iris stays in [80, 160] before noise.  Realism is a non-goal; stable
 class separability is the requirement.
 
-The texture is evaluated only on the iris band (r_p < distance <= r_i), a
-quarter of a 320x280 canvas; the distance only on the bounding box of the
-iris.  The bytes are the same as when both covered the whole canvas: each
-band pixel goes through the same arithmetic, its texture terms are summed
-in the same order (radial, angular, cross), and the noise is still drawn
-for the whole canvas before the eyelashes, so the sample stream advances as
-it did.
+The texture is evaluated only where the iris band needs it, and its sines
+are shared where their arguments repeat.  The distance and the radial waves
+depend on |dx| and |dy| alone, so they are evaluated on the grid of distinct
+|dx| by distinct |dy| of the iris's bounding box, a quarter of the box for
+an integral centre, and gathered onto the band.  The angular waves depend on
+the offsets from the centre: generate_eye evaluates them on its own band,
+and generate_dataset once per class and centre fraction, over the integer
+offsets of a disc that holds every jittered band, since the jitter moves the
+centre by whole pixels.  The bytes are the same as when the texture covered
+the whole canvas: each band pixel's terms are the same doubles, summed in
+the same order (radial, angular, cross); the noise is still drawn for the
+whole canvas before the eyelashes, so the sample stream advances as it did;
+and the whole canvas is rounded, then cast straight to uint8.
 """
 
 from __future__ import annotations
@@ -174,6 +180,31 @@ def _draw_segment(canvas, x0, y0, x1, y1, value) -> None:
     canvas[ys[ok], xs[ok]] = value
 
 
+def _radial_waves(radial, cross, u):
+    """The radial waves summed in order, then the radial factor
+    a·sin(2π·fr·u + pr) of each cross wave, at normalized radii u; stacked
+    on a new first axis."""
+    waves = np.zeros((1 + len(cross[0]), *u.shape))
+    for a, f, p in zip(*radial):
+        waves[0] += a * np.sin(2.0 * np.pi * f * u + p)
+    for k, (a, fr, pr) in enumerate(zip(cross[0], cross[1], cross[3]), 1):
+        waves[k] = a * np.sin(2.0 * np.pi * fr * u + pr)
+    return waves
+
+
+def _angular_waves(angular, cross, dx, dy):
+    """Each angular wave a·sin(f·θ + p), then the angular factor
+    sin(fa·θ + pa) of each cross wave, at offsets (dx, dy) from the centre;
+    stacked on a new first axis."""
+    theta = np.arctan2(dy, dx)
+    waves = np.empty((len(angular[0]) + len(cross[0]), *theta.shape))
+    for k, (a, f, p) in enumerate(zip(*angular)):
+        waves[k] = a * np.sin(f * theta + p)
+    for k, (fa, pa) in enumerate(zip(cross[2], cross[4]), len(angular[0])):
+        waves[k] = np.sin(fa * theta + pa)
+    return waves
+
+
 def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     """Render one eye and return it with the exact geometry that was drawn.
 
@@ -181,6 +212,17 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     actually used, not the nominal ones in the EyeSpec; the pupil area is
     the exact rasterized pixel count.
     """
+    return _render_eye(spec, None)
+
+
+def _render_eye(
+    spec: EyeSpec, class_angles: dict | None
+) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
+    """generate_eye, with the angular waves taken from class_angles when it
+    is a dict: per centre fraction, built on first use, the waves on the
+    integer offsets of a disc about the centre and the numbering of the
+    disc's cells.  Every spec that shares the dict must share class_seed
+    and iris_radius."""
     radial, angular, cross = _texture_params(spec)
     rng = _sample_stream(spec)
 
@@ -194,19 +236,58 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     # canvas.  EyeSpec keeps the box inside the canvas and r_i above r_p.
     top, bottom = math.floor(cy - r_i), math.floor(cy + r_i) + 1
     left, right = math.floor(cx - r_i), math.floor(cx + r_i) + 1
-    ygrid, xgrid = np.mgrid[top:bottom, left:right]
-    dx, dy = xgrid - cx, ygrid - cy
-    dist = np.hypot(dx, dy)
+    xs, ys = np.arange(left, right) - cx, np.arange(top, bottom) - cy
+    # The distance and the radial waves depend on |dx| and |dy| alone (hypot
+    # drops the signs bit for bit), so they are evaluated once per distinct
+    # pair, a quarter of the box for an integral centre, and gathered.
+    ax, jx = np.unique(np.abs(xs), return_inverse=True)
+    ay, jy = np.unique(np.abs(ys), return_inverse=True)
+    grid = np.hypot(ay[:, None], ax)
+    dist = grid.take(jy, axis=0).take(jx, axis=1)
     band = (dist > r_p) & (dist <= r_i)
-    u = (dist[band] - r_p) / (r_i - r_p)
-    theta = np.arctan2(dy[band], dx[band])
-    tex = np.zeros_like(u)
-    for a, f, p in zip(*radial):
-        tex += a * np.sin(2.0 * np.pi * f * u + p)
-    for a, f, p in zip(*angular):
-        tex += a * np.sin(f * theta + p)
-    for a, fr, fa, pr, pa in zip(*cross):
-        tex += a * np.sin(2.0 * np.pi * fr * u + pr) * np.sin(fa * theta + pa)
+    # Waves are evaluated on the true cells of a mask only; the cumulative
+    # sum of the mask numbers those cells for the gather.
+    in_grid = (grid > r_p) & (grid <= r_i)
+    rad = _radial_waves(radial, cross, (grid[in_grid] - r_p) / (r_i - r_p)).take(
+        (np.cumsum(in_grid) - 1)[(jy[:, None] * ax.size + jx)[band]], axis=1
+    )
+
+    if class_angles is None:
+        ang = _angular_waves(
+            angular, cross,
+            np.broadcast_to(xs, band.shape)[band],
+            np.broadcast_to(ys[:, None], band.shape)[band],
+        )
+    else:
+        # col - cx and (col - floor(cx)) - frac(cx) are the same real number,
+        # so they round to the same double: a field over integer offsets
+        # serves every jittered centre with the same fraction.  Each band
+        # lies in the disc of radius reach.
+        col0, row0 = math.floor(cx), math.floor(cy)
+        frac = (cx - col0, cy - row0)
+        reach = math.ceil(spec.iris_radius) + 3
+        offsets = np.arange(-reach, reach + 1)
+        if frac not in class_angles:
+            dx = np.broadcast_to(offsets - frac[0], (offsets.size, offsets.size))
+            dy = np.broadcast_to((offsets - frac[1])[:, None], dx.shape)
+            disc = np.hypot(dx, dy) <= reach
+            class_angles[frac] = (
+                np.cumsum(disc) - 1,
+                _angular_waves(angular, cross, dx[disc], dy[disc]),
+            )
+        at, waves = class_angles[frac]
+        rows = np.arange(top, bottom) - (row0 - reach)
+        cols = np.arange(left, right) - (col0 - reach)
+        ang = waves.take(at[(rows[:, None] * offsets.size + cols)[band]], axis=1)
+
+    # The sum runs in the order of the whole-canvas renderer: the radial
+    # waves, each angular wave, then each cross wave (a·sinR)·sinA.
+    tex = rad[0]
+    n_angular = len(angular[0])
+    for wave in ang[:n_angular]:
+        tex += wave
+    for radial_factor, angular_factor in zip(rad[1:], ang[n_angular:]):
+        tex += radial_factor * angular_factor
 
     canvas = np.full((spec.height, spec.width), float(spec.sclera_value))
     box = canvas[top:bottom, left:right]
@@ -234,8 +315,9 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
         col = round_half_away(cx + (r_p + r_i) / 2.0)
         canvas[row, col] = 255.0
 
-    pixels = np.clip(round_half_away(canvas), 0, 255).astype(np.float64)
-    img = GrayImage(pixels=pixels)
+    # Rounded and clipped straight to uint8, which GrayImage takes as it is.
+    pixels = round_half_away(canvas)
+    img = GrayImage(pixels=np.clip(pixels, 0, 255, out=pixels).astype(np.uint8))
     pupil = PupilGeometry(
         x_cp=float(cx),
         y_cp=float(cy),
@@ -263,14 +345,15 @@ def generate_dataset(
     samples_per_class: int = 7,
     base_seed: int = 0,
     out_dir: str | Path = ".",
+    ascii: bool = False,
     **spec_overrides,
 ) -> list[Path]:
     """Write n_classes x samples_per_class eye images plus a truth manifest.
 
     Files are named class<ccc>_sample<ss>.pgm with 1-based zero-padded
-    indices; the manifest holds one row per file with the jittered geometry
-    actually rendered.  Regenerating with the same arguments reproduces every
-    file byte for byte.
+    indices, P2 when ascii is true, else P5; the manifest holds one row per
+    file with the jittered geometry actually rendered.  Regenerating with the
+    same arguments reproduces every file byte for byte.
     """
     if n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
@@ -285,12 +368,15 @@ def generate_dataset(
     rows = [MANIFEST_HEADER]
     for c in range(1, n_classes + 1):
         cseed = class_seed_for(base_seed, c)
+        # A class of one eye renders its own band: building the angular waves
+        # on the disc costs more than evaluating them on one band.
+        class_angles = {} if samples_per_class > 1 else None
         for s in range(1, samples_per_class + 1):
             spec = EyeSpec(class_seed=cseed, sample_seed=s, **spec_overrides)
-            img, pupil, bounds = generate_eye(spec)
+            img, pupil, bounds = _render_eye(spec, class_angles)
             name = f"class{c:03d}_sample{s:02d}.pgm"
             path = out / name
-            write_pgm_file(path, img)
+            write_pgm_file(path, img, ascii=ascii)
             r_iris = (bounds.right_x - bounds.left_x) / 2.0
             rows.append(
                 f"{name},{c},{pupil.x_cp:.3f},{pupil.y_cp:.3f},"

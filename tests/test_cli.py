@@ -77,15 +77,25 @@ class TestSynth:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
-    def test_ascii_flag(self, tmp_path, capsys):
-        out = tmp_path / "ascii"
-        assert cli.main(
-            ["synth", "--classes", "2", "--samples", "3", "--ascii-pgm",
-             "--out", str(out)]
-        ) == 0
+    def test_ascii_flag(self, tmp_path, capsys, monkeypatch):
+        argv = ["synth", "--classes", "2", "--samples", "3", "--out"]
+        assert cli.main(argv + [str(tmp_path / "p5")]) == 0
+
+        def read_back(data):
+            raise AssertionError("synth --ascii-pgm read a file back")
+
+        # Each P2 file is written once, with the bytes of the P5 file of the
+        # same eye read back and rewritten as P2.
+        monkeypatch.setattr(image_io, "read_pgm", read_back)
+        assert cli.main(argv + [str(tmp_path / "p2"), "--ascii-pgm"]) == 0
+        monkeypatch.undo()
         capsys.readouterr()
-        for f in out.glob("*.pgm"):
-            assert f.read_bytes().startswith(b"P2")
+        p5_files = sorted((tmp_path / "p5").glob("*.pgm"))
+        assert len(p5_files) == 6
+        for f in p5_files:
+            p2 = (tmp_path / "p2" / f.name).read_bytes()
+            assert p2.startswith(b"P2")
+            assert p2 == image_io.write_pgm(read_pgm_file(f), ascii=True)
 
 
 class TestSegment:

@@ -12,10 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irisvd.image_io import read_pgm_file, round_half_away
+from irisvd import synth
+from irisvd.image_io import read_pgm_file, round_half_away, write_pgm
 from irisvd.iris_boundary import iris_bounds, scanline
 from irisvd.segmentation import label_components_8, pupil_geometry, threshold_dark
-from irisvd.synth import EyeSpec, class_seed_for, generate_dataset, generate_eye
+from irisvd.synth import (
+    MANIFEST_HEADER,
+    MANIFEST_NAME,
+    EyeSpec,
+    class_seed_for,
+    generate_dataset,
+    generate_eye,
+)
 from synth_reference import reference_generate_eye
 
 
@@ -275,6 +283,127 @@ class TestSameBytesAsReference:
     @given(eye_specs())
     def test_any_valid_spec(self, spec):
         assert render(generate_eye, spec) == render(reference_generate_eye, spec)
+
+
+def jittered_offsets(spec):
+    """Every x and every y offset from the centre that generate_eye can
+    measure for spec: each jittered centre over the box of the widest
+    jittered iris."""
+    r_i = spec.iris_radius + 2
+    axes = []
+    for c in spec.pupil_center:
+        axes.append(np.unique(np.concatenate([
+            np.arange(math.floor(c + j - r_i), math.floor(c + j + r_i) + 1) - (c + j)
+            for j in range(-2, 3)
+        ])))
+    return axes
+
+
+class TestDistanceIgnoresSigns:
+    """The distance and the radial waves are evaluated once per distinct
+    (|dx|, |dy|), which gives the same bytes only if np.hypot drops the
+    signs of its arguments bit for bit."""
+
+    @staticmethod
+    def check(spec):
+        dx, dy = jittered_offsets(spec)
+        signed = np.hypot(dy[:, None], dx)
+        assert np.hypot(np.abs(dy)[:, None], np.abs(dx)).tobytes() == signed.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EyeSpec(class_seed=1, sample_seed=1),
+            EyeSpec(class_seed=1, sample_seed=1, width=160, height=140,
+                    pupil_center=(80.0, 70.0), iris_radius=55.0, pupil_radius=29.0),
+            EyeSpec(class_seed=1, sample_seed=1, pupil_center=(141.37, 152.5),
+                    pupil_radius=31.5, iris_radius=74.25),
+        ],
+        ids=["integral", "integral-small", "fractional"],
+    )
+    def test_specs(self, spec):
+        self.check(spec)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(eye_specs())
+    def test_any_valid_spec(self, spec):
+        self.check(spec)
+
+
+def reference_dataset(n_classes, samples_per_class, base_seed, **spec_overrides):
+    """The bytes of every file generate_dataset should write, each eye
+    rendered on its own by the whole-canvas reference."""
+    files, rows = {}, [MANIFEST_HEADER]
+    for c in range(1, n_classes + 1):
+        for s in range(1, samples_per_class + 1):
+            spec = EyeSpec(class_seed=class_seed_for(base_seed, c), sample_seed=s,
+                           **spec_overrides)
+            img, pupil, bounds = reference_generate_eye(spec)
+            name = f"class{c:03d}_sample{s:02d}.pgm"
+            files[name] = write_pgm(img)
+            r_iris = (bounds.right_x - bounds.left_x) / 2.0
+            rows.append(f"{name},{c},{pupil.x_cp:.3f},{pupil.y_cp:.3f},"
+                        f"{pupil.r_x:.3f},{r_iris:.3f}")
+    files[MANIFEST_NAME] = ("\n".join(rows) + "\n").encode("ascii")
+    return files
+
+
+class TestDatasetAgainstReference:
+    """generate_dataset takes the angular waves of each class from one field
+    per centre fraction, which generate_eye alone never does; every file it
+    writes is held to the reference renderer."""
+
+    @pytest.mark.parametrize(
+        "n_classes, samples, base_seed, overrides",
+        [
+            (9, 7, 0, {}),
+            # perfbench's degraded eyes
+            (3, 8, 7, dict(eyelash_count=12, noise_amplitude=12, bright_spot=True)),
+            # 127.3 + 1 rounds to a double of the next binade, so the
+            # centre fraction of a class changes with the jitter
+            (3, 7, 2, dict(pupil_center=(127.3, 128.6))),
+            (4, 1, 3, {}),
+        ],
+        ids=["synth-9x7", "degraded", "fractional", "one-sample"],
+    )
+    def test_every_file(self, tmp_path, n_classes, samples, base_seed, overrides):
+        generate_dataset(n_classes, samples, base_seed=base_seed, out_dir=tmp_path,
+                         **overrides)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        expected = reference_dataset(n_classes, samples, base_seed, **overrides)
+        assert sorted(written) == sorted(expected)
+        for name, data in expected.items():
+            assert written[name] == data, name
+
+    @pytest.mark.parametrize(
+        "n_classes, samples, base_seed, overrides, builds",
+        [
+            (9, 7, 0, {}, 9),
+            (2, 7, 0, dict(pupil_center=(141.37, 152.5)), 2),
+            # two centre fractions per class, as drawn for this seed
+            (3, 7, 2, dict(pupil_center=(127.3, 128.6)), 6),
+            # one eye a class: each renders its own band, as generate_eye does
+            (4, 1, 0, {}, 4),
+        ],
+        ids=["integral", "fractional", "fraction-changes", "one-sample"],
+    )
+    def test_angular_waves_built_once_per_class_and_fraction(
+        self, tmp_path, n_classes, samples, base_seed, overrides, builds
+    ):
+        with mock.patch.object(synth, "_angular_waves",
+                               wraps=synth._angular_waves) as spy:
+            generate_dataset(n_classes, samples, base_seed=base_seed, out_dir=tmp_path,
+                             **overrides)
+        assert spy.call_count == builds
+
+    def test_nothing_outlives_a_class(self, tmp_path):
+        # Class 2 is rendered after class 1, and each eye once more on its own.
+        generate_dataset(2, 4, base_seed=6, out_dir=tmp_path)
+        for c in (1, 2):
+            for s in range(1, 5):
+                spec = EyeSpec(class_seed=class_seed_for(6, c), sample_seed=s)
+                alone = write_pgm(generate_eye(spec)[0])
+                assert (tmp_path / f"class{c:03d}_sample{s:02d}.pgm").read_bytes() == alone
 
 
 class TestGenerateDataset:
