@@ -27,13 +27,22 @@ the whole canvas: each band pixel's terms are the same doubles, summed in
 the same order (radial, angular, cross); the noise is still drawn for the
 whole canvas before the eyelashes, so the sample stream advances as it did;
 and the whole canvas is rounded, then cast straight to uint8.
+
+generate_dataset renders its classes concurrently, one task per class on a
+thread pool of min(n_classes, usable CPUs) threads opened and shut inside
+the call.  A task draws its class's texture parameters once, builds its own
+angular waves, and renders and writes its eyes in sample order.  Every
+stream is keyed by the eye's own seeds, so no two tasks share a generator
+and the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,10 +180,20 @@ def _texture_params(spec: EyeSpec):
     return radial, angular, cross
 
 
-def _draw_segment(canvas, x0, y0, x1, y1, value) -> None:
-    n = int(max(abs(x1 - x0), abs(y1 - y0))) + 1
-    xs = np.rint(np.linspace(x0, x1, n)).astype(np.int64)
-    ys = np.rint(np.linspace(y0, y1, n)).astype(np.int64)
+def _draw_segments(canvas, starts, stops, value) -> None:
+    """Set to value every pixel that a segment from starts[i] to stops[i]
+    passes, both (m, 2) arrays of (x, y).  A segment of n points is
+    np.linspace's: k·step + start for k < n, with the last point set to
+    stop, each rounded to the nearest pixel.  Each segment must have n >= 2
+    for its step to exist; every lash segment rises 3 to 12 pixels."""
+    n = np.abs(stops - starts).max(axis=1).astype(np.int64) + 1
+    seg = np.repeat(np.arange(n.size), n)
+    ends = np.cumsum(n)
+    k = np.arange(seg.size) - (ends - n)[seg]
+    step = (stops - starts) / (n - 1)[:, None]
+    points = k[:, None] * step[seg] + starts[seg]
+    points[ends - 1] = stops
+    xs, ys = np.rint(points).astype(np.int64).T
     h, w = canvas.shape
     ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
     canvas[ys[ok], xs[ok]] = value
@@ -212,18 +231,18 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     actually used, not the nominal ones in the EyeSpec; the pupil area is
     the exact rasterized pixel count.
     """
-    return _render_eye(spec, None)
+    return _render_eye(spec, _texture_params(spec), None)
 
 
 def _render_eye(
-    spec: EyeSpec, class_angles: dict | None
+    spec: EyeSpec, texture, class_angles: dict | None
 ) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
-    """generate_eye, with the angular waves taken from class_angles when it
-    is a dict: per centre fraction, built on first use, the waves on the
-    integer offsets of a disc about the centre and the numbering of the
-    disc's cells.  Every spec that shares the dict must share class_seed
-    and iris_radius."""
-    radial, angular, cross = _texture_params(spec)
+    """generate_eye, with the texture parameters of spec's class given, and
+    the angular waves taken from class_angles when it is a dict: per centre
+    fraction, built on first use, the waves on the integer offsets of a disc
+    about the centre and the numbering of the disc's cells.  Every spec that
+    shares the dict must share class_seed and iris_radius."""
+    radial, angular, cross = texture
     rng = _sample_stream(spec)
 
     cx = spec.pupil_center[0] + int(rng.integers(-2, 3))
@@ -300,15 +319,20 @@ def _render_eye(
             -spec.noise_amplitude, spec.noise_amplitude + 1, canvas.shape
         )
 
+    # Each lash is a polyline of 3 segments; its 4 points are drawn one by
+    # one from the sample stream, and every segment is rasterised at once.
     lash_top = cy - r_i
-    for _ in range(spec.eyelash_count):
-        x0 = cx + rng.uniform(-0.9, 0.9) * r_i
-        y0 = lash_top - int(rng.integers(4, 16))
-        for _ in range(3):
-            x1 = x0 + int(rng.integers(-10, 11))
-            y1 = y0 - int(rng.integers(3, 13))
-            _draw_segment(canvas, x0, y0, x1, y1, _EYELASH_VALUE)
-            x0, y0 = x1, y1
+    lashes = np.empty((spec.eyelash_count, 4, 2))
+    for lash in lashes:
+        x = cx + rng.uniform(-0.9, 0.9) * r_i
+        y = lash_top - int(rng.integers(4, 16))
+        lash[0] = x, y
+        for point in lash[1:]:
+            x += int(rng.integers(-10, 11))
+            y -= int(rng.integers(3, 13))
+            point[:] = x, y
+    _draw_segments(canvas, lashes[:, :3].reshape(-1, 2), lashes[:, 1:].reshape(-1, 2),
+                   _EYELASH_VALUE)
 
     if spec.bright_spot:
         row = round_half_away(cy)
@@ -340,6 +364,40 @@ def class_seed_for(base_seed: int, class_index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _render_class(
+    spec: EyeSpec, c: int, samples_per_class: int, out: Path, ascii: bool
+) -> list[tuple[Path, str]]:
+    """Render and write the eyes of class c, spec's class, in sample order;
+    return the path and the manifest row of each."""
+    texture = _texture_params(spec)
+    # A class of one eye renders its own band: building the angular waves
+    # on the disc costs more than evaluating them on one band.
+    class_angles = {} if samples_per_class > 1 else None
+    eyes = []
+    for s in range(1, samples_per_class + 1):
+        img, pupil, bounds = _render_eye(
+            replace(spec, sample_seed=s), texture, class_angles
+        )
+        name = f"class{c:03d}_sample{s:02d}.pgm"
+        path = out / name
+        write_pgm_file(path, img, ascii=ascii)
+        r_iris = (bounds.right_x - bounds.left_x) / 2.0
+        eyes.append((
+            path,
+            f"{name},{c},{pupil.x_cp:.3f},{pupil.y_cp:.3f},"
+            f"{pupil.r_x:.3f},{r_iris:.3f}",
+        ))
+    return eyes
+
+
 def generate_dataset(
     n_classes: int,
     samples_per_class: int = 7,
@@ -352,8 +410,13 @@ def generate_dataset(
 
     Files are named class<ccc>_sample<ss>.pgm with 1-based zero-padded
     indices, P2 when ascii is true, else P5; the manifest holds one row per
-    file with the jittered geometry actually rendered.  Regenerating with the
-    same arguments reproduces every file byte for byte.
+    file with the jittered geometry actually rendered.  The classes render
+    concurrently, one task per class on a pool of min(n_classes, usable
+    CPUs) threads that lives only for this call; numpy releases the GIL for
+    most of an eye.  Every eye's streams are keyed by its own seeds, so the
+    bytes do not depend on the thread count, and regenerating with the same
+    arguments reproduces every file byte for byte.  The overrides are
+    checked before any thread starts or file is written.
     """
     if n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
@@ -361,27 +424,20 @@ def generate_dataset(
         raise ValueError(
             f"samples_per_class must be >= 1, got {samples_per_class}"
         )
+    spec = EyeSpec(class_seed=0, sample_seed=1, **spec_overrides)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    paths: list[Path] = []
-    rows = [MANIFEST_HEADER]
-    for c in range(1, n_classes + 1):
-        cseed = class_seed_for(base_seed, c)
-        # A class of one eye renders its own band: building the angular waves
-        # on the disc costs more than evaluating them on one band.
-        class_angles = {} if samples_per_class > 1 else None
-        for s in range(1, samples_per_class + 1):
-            spec = EyeSpec(class_seed=cseed, sample_seed=s, **spec_overrides)
-            img, pupil, bounds = _render_eye(spec, class_angles)
-            name = f"class{c:03d}_sample{s:02d}.pgm"
-            path = out / name
-            write_pgm_file(path, img, ascii=ascii)
-            r_iris = (bounds.right_x - bounds.left_x) / 2.0
-            rows.append(
-                f"{name},{c},{pupil.x_cp:.3f},{pupil.y_cp:.3f},"
-                f"{pupil.r_x:.3f},{r_iris:.3f}"
+    with ThreadPoolExecutor(max_workers=min(n_classes, _usable_cpus())) as pool:
+        tasks = [
+            pool.submit(
+                _render_class,
+                replace(spec, class_seed=class_seed_for(base_seed, c)),
+                c, samples_per_class, out, ascii,
             )
-            paths.append(path)
+            for c in range(1, n_classes + 1)
+        ]
+        eyes = [eye for task in tasks for eye in task.result()]
+    rows = [MANIFEST_HEADER, *(row for _, row in eyes)]
     (out / MANIFEST_NAME).write_text("\n".join(rows) + "\n", encoding="ascii")
-    return paths
+    return [path for path, _ in eyes]

@@ -2,7 +2,9 @@
 was evaluated on the whole canvas and only the iris band was kept.
 
 Kept verbatim so the band-only renderer can be held to it: the same pixels,
-PupilGeometry and IrisBounds for every spec.
+PupilGeometry and IrisBounds for every spec.  Its eyelashes are drawn one
+segment at a time by _draw_segment, the np.linspace rasteriser that the
+batched synth._draw_segments replaced.
 """
 
 from __future__ import annotations
@@ -15,10 +17,18 @@ from irisvd.segmentation import PupilGeometry
 from irisvd.synth import (
     _EYELASH_VALUE,
     EyeSpec,
-    _draw_segment,
     _sample_stream,
     _texture_params,
 )
+
+
+def _draw_segment(canvas, x0, y0, x1, y1, value) -> None:
+    n = int(max(abs(x1 - x0), abs(y1 - y0))) + 1
+    xs = np.rint(np.linspace(x0, x1, n)).astype(np.int64)
+    ys = np.rint(np.linspace(y0, y1, n)).astype(np.int64)
+    h, w = canvas.shape
+    ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+    canvas[ys[ok], xs[ok]] = value
 
 
 def reference_generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:

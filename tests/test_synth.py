@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -24,7 +26,7 @@ from irisvd.synth import (
     generate_dataset,
     generate_eye,
 )
-from synth_reference import reference_generate_eye
+from synth_reference import _draw_segment, reference_generate_eye
 
 
 def clean_spec(**kw):
@@ -285,6 +287,37 @@ class TestSameBytesAsReference:
         assert render(generate_eye, spec) == render(reference_generate_eye, spec)
 
 
+class TestDrawSegments:
+    """The batched rasteriser against np.linspace one segment at a time
+    (tests/synth_reference.py)."""
+
+    @staticmethod
+    def check(starts, stops):
+        batched, alone = np.zeros((40, 50)), np.zeros((40, 50))
+        synth._draw_segments(batched, starts, stops, 1.0)
+        for (x0, y0), (x1, y1) in zip(starts, stops):
+            _draw_segment(alone, x0, y0, x1, y1, 1.0)
+        assert batched.tobytes() == alone.tobytes()
+
+    def test_random_segments(self):
+        # Stops on half pixels: there k·step + start can round to another
+        # pixel than stop, so the last point must be stop itself.  Some
+        # points fall off the canvas.
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            starts = rng.uniform(-5.0, 55.0, (4, 2))
+            stops = rng.integers(-5, 55, (4, 2)) + rng.choice([0.0, 0.5], (4, 2))
+            self.check(starts, stops)
+
+    def test_endpoint_off_by_rounding(self):
+        # 8 · ((6.5 - x0) / 8) + x0 is 6.500000000000001, which rounds to 7;
+        # the stop 6.5 rounds to 6.
+        self.check(np.array([[-2.1015563913409983, 0.0]]), np.array([[6.5, 0.0]]))
+
+    def test_no_segments(self):
+        self.check(np.empty((0, 2)), np.empty((0, 2)))
+
+
 def jittered_offsets(spec):
     """Every x and every y offset from the centre that generate_eye can
     measure for spec: each jittered centre over the box of the widest
@@ -348,6 +381,17 @@ def reference_dataset(n_classes, samples_per_class, base_seed, **spec_overrides)
     return files
 
 
+def assert_reference_files(out, n_classes, samples_per_class, base_seed,
+                           **spec_overrides):
+    """out holds exactly the files of reference_dataset, byte for byte."""
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    expected = reference_dataset(n_classes, samples_per_class, base_seed,
+                                 **spec_overrides)
+    assert sorted(written) == sorted(expected)
+    for name, data in expected.items():
+        assert written[name] == data, name
+
+
 class TestDatasetAgainstReference:
     """generate_dataset takes the angular waves of each class from one field
     per centre fraction, which generate_eye alone never does; every file it
@@ -369,11 +413,7 @@ class TestDatasetAgainstReference:
     def test_every_file(self, tmp_path, n_classes, samples, base_seed, overrides):
         generate_dataset(n_classes, samples, base_seed=base_seed, out_dir=tmp_path,
                          **overrides)
-        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        expected = reference_dataset(n_classes, samples, base_seed, **overrides)
-        assert sorted(written) == sorted(expected)
-        for name, data in expected.items():
-            assert written[name] == data, name
+        assert_reference_files(tmp_path, n_classes, samples, base_seed, **overrides)
 
     @pytest.mark.parametrize(
         "n_classes, samples, base_seed, overrides, builds",
@@ -390,11 +430,19 @@ class TestDatasetAgainstReference:
     def test_angular_waves_built_once_per_class_and_fraction(
         self, tmp_path, n_classes, samples, base_seed, overrides, builds
     ):
-        with mock.patch.object(synth, "_angular_waves",
-                               wraps=synth._angular_waves) as spy:
+        # Classes build their waves on concurrent threads, so the builds are
+        # counted under a lock: a Mock's call_count is not atomic.
+        count, lock, build = [0], threading.Lock(), synth._angular_waves
+
+        def counted(*args):
+            with lock:
+                count[0] += 1
+            return build(*args)
+
+        with mock.patch.object(synth, "_angular_waves", counted):
             generate_dataset(n_classes, samples, base_seed=base_seed, out_dir=tmp_path,
                              **overrides)
-        assert spy.call_count == builds
+        assert count[0] == builds
 
     def test_nothing_outlives_a_class(self, tmp_path):
         # Class 2 is rendered after class 1, and each eye once more on its own.
@@ -404,6 +452,104 @@ class TestDatasetAgainstReference:
                 spec = EyeSpec(class_seed=class_seed_for(6, c), sample_seed=s)
                 alone = write_pgm(generate_eye(spec)[0])
                 assert (tmp_path / f"class{c:03d}_sample{s:02d}.pgm").read_bytes() == alone
+
+
+def bounded(fn, *args, timeout=120.0, **kwargs):
+    """fn(*args, **kwargs) on a thread of its own, joined within timeout
+    seconds; its result is returned and its exception raised here."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised on the caller's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool generate_dataset opens."""
+    sizes, pool = [], synth.ThreadPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(synth, "ThreadPoolExecutor", spy)
+    return sizes
+
+
+DEGRADED = dict(eyelash_count=12, noise_amplitude=12, bright_spot=True)
+SMALL = dict(width=160, height=140, pupil_center=(80.0, 70.0), iris_radius=55.0,
+             pupil_radius=29.0)
+
+
+class TestConcurrentClasses:
+    """generate_dataset renders its classes on a pool of threads that lives
+    only for the call."""
+
+    @pytest.mark.parametrize(
+        "n_classes, samples, base_seed, overrides",
+        [(9, 3, 0, {}), (9, 8, 0, DEGRADED)],
+        ids=["synth-9x3", "degraded"],
+    )
+    def test_more_threads_than_cores_write_the_reference_bytes(
+        self, tmp_path, monkeypatch, pool_sizes, n_classes, samples, base_seed, overrides
+    ):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        threads = threading.active_count()
+        sys.setswitchinterval(1e-5)
+        try:
+            bounded(generate_dataset, n_classes, samples, base_seed=base_seed,
+                    out_dir=tmp_path, **overrides)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert pool_sizes == [4]
+        assert_reference_files(tmp_path, n_classes, samples, base_seed, **overrides)
+
+    @pytest.mark.parametrize(
+        "n_classes, cpus, workers",
+        [(9, 4, 4), (2, 4, 2), (3, 1, 1), (1, 2, 1)],
+    )
+    def test_workers_are_capped_by_classes_and_cpus(
+        self, tmp_path, monkeypatch, pool_sizes, n_classes, cpus, workers
+    ):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        paths = bounded(generate_dataset, n_classes, 2, base_seed=4, out_dir=tmp_path,
+                        **SMALL)
+        assert threading.active_count() == threads
+        assert pool_sizes == [workers]
+        assert [p.name for p in paths] == [
+            f"class{c:03d}_sample{s:02d}.pgm"
+            for c in range(1, n_classes + 1) for s in (1, 2)
+        ]
+
+    def test_bad_override_starts_no_thread_and_writes_nothing(
+        self, tmp_path, pool_sizes
+    ):
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="noise_amplitude"):
+            bounded(generate_dataset, 3, 2, out_dir=tmp_path / "out",
+                    noise_amplitude=13)
+        assert pool_sizes == []
+        assert threading.active_count() == threads
+        assert not (tmp_path / "out").exists()
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(synth.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+        assert synth._usable_cpus() == 3
 
 
 class TestGenerateDataset:
