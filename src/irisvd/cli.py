@@ -79,10 +79,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _config_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
-
-
 def _config_optional_int(text: str):
     return None if text.lower() == "none" else int(text)
 
@@ -142,16 +138,14 @@ KNOBS = (
     Knob("train.seed", "--seed", "train", "seed", int,
          f"weight init seed (default {TrainConfig.seed})"),
     Knob("synth.samples", "--samples", "synth", "samples_per_class", _positive_int,
-         f"samples per class (default {_SYNTH['samples_per_class'].default})", int),
+         f"samples per class (default {_SYNTH['samples_per_class'].default})"),
     Knob("synth.seed", "--seed", "synth", "base_seed", int,
          f"base seed (default {_SYNTH['base_seed'].default})"),
     Knob("experiment.class_counts", "--classes", "experiment", "class_counts",
          _parse_int_list,
-         f"comma-separated class counts (default {_shown(GridConfig.class_counts)})",
-         _config_int_list),
+         f"comma-separated class counts (default {_shown(GridConfig.class_counts)})"),
     Knob("experiment.dims", "--dims", "experiment", "dims", _parse_int_list,
-         f"comma-separated dimensions (default {_shown(GridConfig.dims)})",
-         _config_int_list),
+         f"comma-separated dimensions (default {_shown(GridConfig.dims)})"),
     Knob("experiment.epoch_cap", "--epochs", "experiment", "epoch_cap", int,
          f"per-cell epoch cap (default {GridConfig.epoch_cap})", _config_optional_int),
     Knob("experiment.base_seed", "--seed", "experiment", "base_seed", int,
@@ -180,7 +174,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return values
 
@@ -248,11 +242,10 @@ def _check_dim(k: int) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args)
-    knobs = _knobs(args, cfg, "synth.")
-    if knobs.get("samples_per_class", 1) < 1:
-        raise ConfigError(f"samples_per_class must be >= 1, got {knobs['samples_per_class']}")
     out = Path(args.out)
-    files = generate_dataset(args.classes, out_dir=out, ascii=args.ascii_pgm, **knobs)
+    files = generate_dataset(
+        args.classes, out_dir=out, ascii=args.ascii_pgm, **_knobs(args, cfg, "synth.")
+    )
     print(f"{len(files)} {out / MANIFEST_NAME}")
     return 0
 

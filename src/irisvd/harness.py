@@ -260,8 +260,8 @@ def _template_spectra(paths, cfg: PipelineConfig, images) -> dict[Path, np.ndarr
     raise it; every template's spectrum then comes from one svd_spectra
     call.
     """
-    templates = [Matrix(entries=_template(p, cfg, images[p])).entries for p in paths]
-    return dict(zip(paths, svd_spectra(np.array(templates))))
+    templates = np.array([_template(p, cfg, images[p]) for p in paths])
+    return dict(zip(paths, svd_spectra(templates)))
 
 
 def cell_seed(base_seed: int, n_classes: int, dim: int) -> int:

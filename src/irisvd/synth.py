@@ -19,14 +19,14 @@ are shared where their arguments repeat.  The distance and the radial waves
 depend on |dx| and |dy| alone, so they are evaluated on the grid of distinct
 |dx| by distinct |dy| of the iris's bounding box, a quarter of the box for
 an integral centre, and gathered onto the band.  The angular waves depend on
-the offsets from the centre: generate_eye evaluates them on its own band,
-and generate_dataset once per class and centre fraction, over the integer
-offsets of a disc that holds every jittered band, since the jitter moves the
-centre by whole pixels.  The bytes are the same as when the texture covered
-the whole canvas: each band pixel's terms are the same doubles, summed in
-the same order (radial, angular, cross); the noise is still drawn for the
-whole canvas before the eyelashes, so the sample stream advances as it did;
-and the whole canvas is rounded, then cast straight to uint8.
+the offsets from the centre, so they are evaluated once per class and centre
+fraction, over the integer offsets of a disc that holds every jittered band,
+since the jitter moves the centre by whole pixels.  The bytes are the same
+as when the texture covered the whole canvas: each band pixel's terms are
+the same doubles, summed in the same order (radial, angular, cross); the
+noise is still drawn for the whole canvas before the eyelashes, so the
+sample stream advances as it did; and the whole canvas is rounded, then
+cast straight to uint8.
 
 generate_dataset renders its classes concurrently, one task per class on a
 thread pool of min(n_classes, usable CPUs) threads opened and shut inside
@@ -231,17 +231,17 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     actually used, not the nominal ones in the EyeSpec; the pupil area is
     the exact rasterized pixel count.
     """
-    return _render_eye(spec, _texture_params(spec), None)
+    return _render_eye(spec, _texture_params(spec), {})
 
 
 def _render_eye(
-    spec: EyeSpec, texture, class_angles: dict | None
+    spec: EyeSpec, texture, class_angles: dict
 ) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
     """generate_eye, with the texture parameters of spec's class given, and
-    the angular waves taken from class_angles when it is a dict: per centre
-    fraction, built on first use, the waves on the integer offsets of a disc
-    about the centre and the numbering of the disc's cells.  Every spec that
-    shares the dict must share class_seed and iris_radius."""
+    the angular waves taken from class_angles: per centre fraction, built on
+    first use, the waves on the integer offsets of a disc about the centre
+    and the numbering of the disc's cells.  Every spec that shares the dict
+    must share class_seed and iris_radius."""
     radial, angular, cross = texture
     rng = _sample_stream(spec)
 
@@ -271,33 +271,26 @@ def _render_eye(
         (np.cumsum(in_grid) - 1)[(jy[:, None] * ax.size + jx)[band]], axis=1
     )
 
-    if class_angles is None:
-        ang = _angular_waves(
-            angular, cross,
-            np.broadcast_to(xs, band.shape)[band],
-            np.broadcast_to(ys[:, None], band.shape)[band],
+    # col - cx and (col - floor(cx)) - frac(cx) are the same real number, so
+    # they round to the same double: a field over integer offsets serves
+    # every jittered centre with the same fraction.  Each band lies in the
+    # disc of radius reach.
+    col0, row0 = math.floor(cx), math.floor(cy)
+    frac = (cx - col0, cy - row0)
+    reach = math.ceil(spec.iris_radius) + 3
+    offsets = np.arange(-reach, reach + 1)
+    if frac not in class_angles:
+        dx = np.broadcast_to(offsets - frac[0], (offsets.size, offsets.size))
+        dy = np.broadcast_to((offsets - frac[1])[:, None], dx.shape)
+        disc = np.hypot(dx, dy) <= reach
+        class_angles[frac] = (
+            np.cumsum(disc) - 1,
+            _angular_waves(angular, cross, dx[disc], dy[disc]),
         )
-    else:
-        # col - cx and (col - floor(cx)) - frac(cx) are the same real number,
-        # so they round to the same double: a field over integer offsets
-        # serves every jittered centre with the same fraction.  Each band
-        # lies in the disc of radius reach.
-        col0, row0 = math.floor(cx), math.floor(cy)
-        frac = (cx - col0, cy - row0)
-        reach = math.ceil(spec.iris_radius) + 3
-        offsets = np.arange(-reach, reach + 1)
-        if frac not in class_angles:
-            dx = np.broadcast_to(offsets - frac[0], (offsets.size, offsets.size))
-            dy = np.broadcast_to((offsets - frac[1])[:, None], dx.shape)
-            disc = np.hypot(dx, dy) <= reach
-            class_angles[frac] = (
-                np.cumsum(disc) - 1,
-                _angular_waves(angular, cross, dx[disc], dy[disc]),
-            )
-        at, waves = class_angles[frac]
-        rows = np.arange(top, bottom) - (row0 - reach)
-        cols = np.arange(left, right) - (col0 - reach)
-        ang = waves.take(at[(rows[:, None] * offsets.size + cols)[band]], axis=1)
+    at, waves = class_angles[frac]
+    rows = np.arange(top, bottom) - (row0 - reach)
+    cols = np.arange(left, right) - (col0 - reach)
+    ang = waves.take(at[(rows[:, None] * offsets.size + cols)[band]], axis=1)
 
     # The sum runs in the order of the whole-canvas renderer: the radial
     # waves, each angular wave, then each cross wave (a·sinR)·sinA.
@@ -378,9 +371,7 @@ def _render_class(
     """Render and write the eyes of class c, spec's class, in sample order;
     return the path and the manifest row of each."""
     texture = _texture_params(spec)
-    # A class of one eye renders its own band: building the angular waves
-    # on the disc costs more than evaluating them on one band.
-    class_angles = {} if samples_per_class > 1 else None
+    class_angles = {}
     eyes = []
     for s in range(1, samples_per_class + 1):
         img, pupil, bounds = _render_eye(

@@ -422,7 +422,7 @@ class TestDatasetAgainstReference:
             (2, 7, 0, dict(pupil_center=(141.37, 152.5)), 2),
             # two centre fractions per class, as drawn for this seed
             (3, 7, 2, dict(pupil_center=(127.3, 128.6)), 6),
-            # one eye a class: each renders its own band, as generate_eye does
+            # one eye a class: one disc per class, not one band per eye
             (4, 1, 0, {}, 4),
         ],
         ids=["integral", "fractional", "fraction-changes", "one-sample"],
