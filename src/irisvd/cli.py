@@ -45,7 +45,7 @@ from .harness import (
 )
 from .image_io import GrayImage, write_pgm_file
 from .iris_boundary import EdgeConfig, bounds_csv_line, mark_bounds
-from .segmentation import filter_small_regions, geometry_csv_line, label_components_8
+from .segmentation import geometry_csv_line
 from .synth import MANIFEST_NAME, generate_dataset
 from .template import TEMPLATE_COLS, TEMPLATE_ROWS
 
@@ -250,8 +250,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _dump_stages(args, path: Path, min_area: int, img, mask, pupil, bounds) -> None:
-    filtered = filter_small_regions(label_components_8(mask), mask, min_area)
+def _dump_stages(args, path: Path, img, mask, pupil, bounds) -> None:
+    filtered = np.zeros_like(mask)
+    for region in pupil.kept:
+        filtered[region.ys, region.xs] = True
     out_dir = Path(args.out) if args.out else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = (
@@ -275,7 +277,7 @@ def cmd_segment(args) -> int:
         try:
             img, mask, pupil, bounds = segment_eye(path, pcfg)
             if args.dump_stages:
-                _dump_stages(args, path, pcfg.min_pupil_area, img, mask, pupil, bounds)
+                _dump_stages(args, path, img, mask, pupil, bounds)
         except Exception as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1

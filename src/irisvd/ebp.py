@@ -163,11 +163,12 @@ def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Overwrite z with its sigmoid; e is scratch of z's shape."""
     # exp only ever sees -|z| <= 0, so it cannot overflow; z >= 0 gives
     # 1/(1+exp(-z)) and z < 0 gives exp(z)/(1+exp(z)).  The numerator is
-    # max(e, step(z)) with step 1 on z >= 0 (where e <= 1) and 0 below, so
-    # it is 1 or e as the branch asks, and nan stays nan.
+    # max(e, sign(z)): above 0 the sign is 1 and e <= 1; at +-0, e is 1;
+    # below 0 the sign is -1 < e, so it is 1 or e as the branch asks, and
+    # nan stays nan.
     np.copysign(z, -1.0, out=e)
     np.exp(e, out=e)
-    np.heaviside(z, 1.0, out=z)
+    np.sign(z, out=z)
     np.maximum(e, z, out=z)
     np.add(e, 1.0, out=e)
     return np.divide(z, e, out=z)

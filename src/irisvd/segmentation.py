@@ -7,7 +7,7 @@ vectorised pass, runs in consecutive rows that touch are merged by vectorised
 min-label hooking and pointer jumping (Shiloach & Vishkin 1982), and each
 region keeps its pixel coordinates as arrays, expanded from its runs once the
 runs are sorted by label.  Regions smaller than the minimum pupil area
-(eyelashes) are cleared, and the surviving largest region, unless it spans
+(eyelashes) are dropped, and the surviving largest region, unless it spans
 the image from border to border, yields the pupil centroid and its
 horizontal/vertical radii.
 
@@ -16,7 +16,7 @@ Coordinates are (x, y) with origin top-left, x rightward, y downward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +45,15 @@ class Region:
 
 @dataclass(frozen=True)
 class PupilGeometry:
-    """Pupil centroid, half-run radii, and pixel area."""
+    """Pupil centroid, half-run radii, and pixel area; kept holds the regions
+    that passed the area filter (left out of equality, hashing and repr)."""
 
     x_cp: float
     y_cp: float
     r_x: float
     r_y: float
     area: int
+    kept: tuple[Region, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.r_x <= 0 or self.r_y <= 0:
@@ -123,22 +125,12 @@ def label_components_8(mask: np.ndarray) -> list[Region]:
     ]
 
 
-def filter_small_regions(
-    regions: list[Region], mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA
-) -> np.ndarray:
-    """A copy of mask with every region of area below min_area cleared."""
-    out = mask.copy()
-    for region in regions:
-        if region.area < min_area:
-            out[region.ys, region.xs] = False
-    return out
-
-
 def pupil_geometry(mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA) -> PupilGeometry:
     """Locate the pupil in a thresholded mask.
 
-    Labels the mask, drops regions below min_area, picks the largest survivor
-    (ties broken by lowest label), and measures:
+    Labels the mask, drops regions below min_area, keeps the survivors in
+    label order as the result's kept, picks the largest survivor (ties
+    broken by lowest label), and measures:
 
     - centroid: arithmetic mean of member pixel coordinates,
     - r_x: half the length of the region's foreground run along the row
@@ -175,7 +167,7 @@ def pupil_geometry(mask: np.ndarray, min_area: int = DEFAULT_MIN_PUPIL_AREA) -> 
     top, bottom = pupil.ys.searchsorted(row), pupil.ys.searchsorted(row + 1)
     r_x = _run_length_through(pupil.xs[top:bottom], col) / 2.0
     r_y = _run_length_through(pupil.ys[pupil.xs == col], row) / 2.0
-    return PupilGeometry(x_cp=x_cp, y_cp=y_cp, r_x=r_x, r_y=r_y, area=pupil.area)
+    return PupilGeometry(x_cp, y_cp, r_x, r_y, pupil.area, tuple(survivors))
 
 
 def _run_length_through(line: np.ndarray, anchor: int) -> int:

@@ -203,6 +203,24 @@ class TestReadOnce:
         assert reads == images
         assert len(labels) == 3
 
+    def test_dump_stages_labels_each_image_once(self, eye_dir, tmp_path, monkeypatch, capsys):
+        labels = []
+        label = segmentation.label_components_8
+
+        def spy(mask):
+            labels.append(mask)
+            return label(mask)
+
+        monkeypatch.setattr(segmentation, "label_components_8", spy)
+        # A name cli imported for itself would count as well.
+        monkeypatch.setattr(cli, "label_components_8", spy, raising=False)
+        images = sorted(eye_dir.glob("*.pgm"))[:3]
+        argv = ["segment", *map(str, images), "--dump-stages", "--out", str(tmp_path)]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 4
+        assert len(labels) == 3
+        assert len(list(tmp_path.glob("*_filtered.pgm"))) == 3
+
     def test_experiment_decodes_each_image_once(self, eye_dir, monkeypatch, capsys):
         decodes, reads = [], []
         decode_pgm, read = image_io.read_pgm, harness.read_pgm_file

@@ -18,7 +18,6 @@ from irisvd.image_io import GrayImage, round_half_away
 from irisvd.segmentation import (
     PupilGeometry,
     PupilNotFoundError,
-    filter_small_regions,
     label_components_8,
     pupil_geometry,
     threshold_dark,
@@ -282,6 +281,9 @@ class TestLabelAgainstReference:
 
 
 class TestFilterSmallRegions:
+    """The area filter in pupil_geometry: regions below min_area are dropped,
+    and the survivors come back as the result's kept, in label order."""
+
     def _square(self, side, pad=2):
         size = side + 2 * pad
         bits = np.zeros((size, size), dtype=bool)
@@ -289,28 +291,31 @@ class TestFilterSmallRegions:
         return bits
 
     def test_area_2500_kept(self):
-        img = self._square(50)  # 2500 pixels exactly
-        regions = label_components_8(img)
-        out = filter_small_regions(regions, img, 2500)
-        assert out.sum() == 2500
+        geom = pupil_geometry(self._square(50), 2500)  # 2500 pixels exactly
+        assert [r.area for r in geom.kept] == [2500]
 
     def test_area_2499_cleared(self):
-        bits = np.zeros((54, 54), dtype=bool)
-        bits[2:52, 2:52] = 1
+        bits = self._square(50)
         bits[2, 2] = 0  # 2499 pixels
-        out = filter_small_regions(label_components_8(bits), bits, 2500)
-        assert out.sum() == 0
-        assert bits.sum() == 2499  # cleared in a copy
+        with pytest.raises(PupilNotFoundError, match="largest found: 2499"):
+            pupil_geometry(bits, 2500)
 
-    def test_empty_image(self):
-        out = filter_small_regions([], np.zeros((3, 3), dtype=bool), 2500)
-        assert out.sum() == 0
-
-    def test_never_sets_bits(self):
-        rng = np.random.default_rng(3)
-        bits = (rng.random((30, 30)) < 0.3)
-        out = filter_small_regions(label_components_8(bits), bits, 10)
-        assert not np.any(out & ~bits)
+    def test_survivors_and_speck(self):
+        bits = np.zeros((70, 140), dtype=bool)
+        bits[2:52, 2:52] = 1  # 2500 pixels, label 1
+        bits[5:65, 60:120] = 1  # 3600 pixels, label 2, the pupil
+        bits[68, 135] = 1  # a speck, label 3
+        geom = pupil_geometry(bits, 2500)
+        assert [r.area for r in geom.kept] == [2500, 3600]
+        assert geom.area == 3600
+        kept = np.zeros_like(bits)
+        for region in geom.kept:
+            kept[region.ys, region.xs] = True
+        bits[68, 135] = 0
+        assert np.array_equal(kept, bits)
+        # kept takes no part in equality, hashing or repr.
+        bare = PupilGeometry(geom.x_cp, geom.y_cp, geom.r_x, geom.r_y, geom.area)
+        assert geom == bare and hash(geom) == hash(bare) and repr(geom) == repr(bare)
 
 
 class TestPupilGeometry:
