@@ -9,9 +9,10 @@ Machine-parseable results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 full success; 1 runtime failures; 2 usage errors and a bad
 config file or value, dataset directory or model file (or its `.labels`
-sidecar).  In `segment` and `classify` each image fails on its own: a
-malformed PGM or an eye that cannot be segmented is named on stderr with its
-stage, the rest are processed, and the run exits 1.
+sidecar).  `segment` and `classify` run each image through `_per_image` and
+format their rows here: each image fails on its own, named on stderr with its
+stage (a malformed PGM, an eye that cannot be segmented, a model whose
+forward pass overflows), the rest are processed, and the run exits 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .harness import (
     DatasetError,
     GridConfig,
     PipelineConfig,
-    PipelineStageError,
+    _stage,
     _template_spectra,
     _template_spectrum,
     emit_report,
@@ -44,8 +45,8 @@ from .harness import (
     split,
 )
 from .image_io import GrayImage, write_pgm_file
-from .iris_boundary import EdgeConfig, bounds_csv_line, mark_bounds
-from .segmentation import geometry_csv_line
+from .iris_boundary import EdgeConfig, IrisBounds, mark_bounds
+from .segmentation import PupilGeometry
 from .synth import MANIFEST_NAME, generate_dataset
 from .template import TEMPLATE_COLS, TEMPLATE_ROWS
 
@@ -53,6 +54,34 @@ DEFAULT_DIM = 20
 
 SEGMENT_HEADER = "path,x_cp,y_cp,r_x,r_y,area,left_x,right_x,left_fallback,right_fallback"
 CLASSIFY_HEADER = "path,class,confidence"
+
+
+def _segment_row(path: Path, pupil: PupilGeometry, bounds: IrisBounds) -> str:
+    """One SEGMENT_HEADER row: centroid and radii to 3 decimals, flags as 0/1."""
+    return (
+        f"{path},{pupil.x_cp:.3f},{pupil.y_cp:.3f},{pupil.r_x:.3f},{pupil.r_y:.3f},"
+        f"{pupil.area},{bounds.left_x},{bounds.right_x},"
+        f"{int(bounds.left_fallback)},{int(bounds.right_fallback)}"
+    )
+
+
+def _per_image(header: str, images: list[str], row: Callable[[Path], str]) -> int:
+    """Print header, then row(path) of each image; 1 if any image failed.
+
+    Whatever an image raises becomes its `<path>: <error>` line on stderr,
+    and the next image runs.
+    """
+    print(header)
+    failures = 0
+    for path in map(Path, images):
+        try:
+            line = row(path)
+        except Exception as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            failures += 1
+        else:
+            print(line)
+    return 1 if failures else 0
 
 
 class ConfigError(Exception):
@@ -188,8 +217,7 @@ def _read_utf8(path: Path, error: type[Exception]) -> str:
         raise error(f"{path}: line {line}: not UTF-8 text") from None
 
 
-def load_config(args) -> dict:
-    path = getattr(args, "config", None)
+def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
@@ -240,8 +268,7 @@ def _check_dim(k: int) -> int:
     return k
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args)
+def cmd_synth(args, cfg: dict) -> int:
     out = Path(args.out)
     files = generate_dataset(
         args.classes, out_dir=out, ascii=args.ascii_pgm, **_knobs(args, cfg, "synth.")
@@ -267,31 +294,23 @@ def _dump_stages(args, path: Path, img, mask, pupil, bounds) -> None:
         )
 
 
-def cmd_segment(args) -> int:
-    cfg = load_config(args)
+def cmd_segment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
-    print(SEGMENT_HEADER)
-    failures = 0
-    for name in args.images:
-        path = Path(name)
-        try:
-            img, mask, pupil, bounds = segment_eye(path, pcfg)
-            if args.dump_stages:
-                _dump_stages(args, path, img, mask, pupil, bounds)
-        except Exception as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        print(f"{geometry_csv_line(str(path), pupil)},{bounds_csv_line(bounds)}")
-    return 1 if failures else 0
+
+    def row(path: Path) -> str:
+        img, mask, pupil, bounds = segment_eye(path, pcfg)
+        if args.dump_stages:
+            _dump_stages(args, path, img, mask, pupil, bounds)
+        return _segment_row(path, pupil, bounds)
+
+    return _per_image(SEGMENT_HEADER, args.images, row)
 
 
 def _labels_path(model_path: Path) -> Path:
     return model_path.with_name(model_path.name + ".labels")
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args)
+def cmd_train(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
     knobs = _knobs(args, cfg, "train.")
     k = _check_dim(knobs.pop("k", DEFAULT_DIM))
@@ -312,8 +331,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    cfg = load_config(args)
+def cmd_classify(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
     labels_file = _labels_path(Path(args.model))
     labels = None
@@ -332,25 +350,21 @@ def cmd_classify(args) -> int:
         return 2
     k = _check_dim(net.shape.n_in)
 
-    print(CLASSIFY_HEADER)
-    failures = 0
-    for name in args.images:
-        path = Path(name)
-        try:
-            x = _template_spectrum(path, pcfg)[:k]
-        except PipelineStageError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        y = forward(net, apply_scaling(net.feature_scaling, x))
+    def row(path: Path) -> str:
+        x = _template_spectrum(path, pcfg)[:k]
+        # Finite but huge weights or scales can overflow here; raising fails
+        # the image at stage 'forward' rather than printing a nan confidence.
+        with np.errstate(over="raise", invalid="raise"):
+            y = _stage("forward", path,
+                       lambda: forward(net, apply_scaling(net.feature_scaling, x)))
         index = decode(y)
         label = labels[index] if labels else str(index)
-        print(f"{path},{label},{float(y[index]):.4f}")
-    return 1 if failures else 0
+        return f"{path},{label},{float(y[index]):.4f}"
+
+    return _per_image(CLASSIFY_HEADER, args.images, row)
 
 
-def cmd_experiment(args) -> int:
-    cfg = load_config(args)
+def cmd_experiment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
     # train.seed and train.dim are train's own: the grid seeds and sizes each cell.
     knobs = _knobs(args, cfg, "train.")
@@ -463,7 +477,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, load_config(args.config))
     except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -199,11 +199,3 @@ def mark_bounds(img: GrayImage, pupil: PupilGeometry, bounds: IrisBounds) -> Gra
         hi = min(img.height, row + 5)
         pixels[lo:hi, col] = 255
     return GrayImage(pixels=pixels)
-
-
-def bounds_csv_line(bounds: IrisBounds) -> str:
-    """Comma-separated bounds record: left, right, and the fallback flags."""
-    return (
-        f"{bounds.left_x},{bounds.right_x},"
-        f"{int(bounds.left_fallback)},{int(bounds.right_fallback)}"
-    )

@@ -182,11 +182,3 @@ def _run_length_through(line: np.ndarray, anchor: int) -> int:
         return int(key.searchsorted(key[i], "right") - key.searchsorted(key[i]))
     starts = np.flatnonzero(np.diff(key)) + 1
     return int(np.diff(starts, prepend=0, append=line.size).max(initial=1))
-
-
-def geometry_csv_line(path: str, geom: PupilGeometry) -> str:
-    """One comma-separated debug record: path, centroid, radii, area."""
-    return (
-        f"{path},{geom.x_cp:.3f},{geom.y_cp:.3f},"
-        f"{geom.r_x:.3f},{geom.r_y:.3f},{geom.area}"
-    )

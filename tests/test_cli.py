@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,22 @@ class TestSegment:
         for suffix, pixels in expected.items():
             dumped = read_pgm_file(tmp_path / f"{img.stem}_{suffix}.pgm")
             assert np.array_equal(dumped.pixels, pixels), suffix
+
+    def test_row_of_eye_cropped_into_iris(self, tmp_path, monkeypatch, capsys):
+        # A degraded eye cut off inside the iris on its right, as the
+        # benchmark crops it: that side falls back to the image border.
+        synth.generate_dataset(1, 1, base_seed=0, out_dir=tmp_path, eyelash_count=12,
+                               noise_amplitude=12, bright_spot=True)
+        eye = read_pgm_file(tmp_path / "class001_sample01.pgm")
+        x_cp, r_p, r_i = 161.0, 29.0, 90.0  # from the manifest
+        edge = round(x_cp + r_p + 0.5 * (r_i - r_p))
+        write_pgm_file(tmp_path / "eye.pgm", GrayImage(eye.pixels[:, : edge + 1]))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_main(["segment", "eye.pgm"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            cli.SEGMENT_HEADER, f"eye.pgm,161.000,138.000,29.500,29.500,2629,70,{edge},0,1"
+        ]
 
 
 def dark_image(name: str) -> GrayImage:
@@ -359,6 +376,22 @@ class TestClassify:
         assert capsys.readouterr() == (
             "", f"error: {labels}: {count} labels for a model with 3 outputs\n"
         )
+
+    def test_overflowing_model_fails_each_image(self, eye_dir, model_file, tmp_path, capsys):
+        # Finite first-layer weights of alternating sign and size 1e308
+        # overflow the forward pass: each image fails at stage 'forward'
+        # instead of printing a nan confidence.
+        net = ebp.load_model(model_file)
+        signs = np.where(np.arange(net.w1.size) % 2, -1.0, 1.0).reshape(net.w1.shape)
+        model = tmp_path / "huge.txt"
+        ebp.save_model(model, replace(net, w1=1e308 * signs))
+        images = [str(p) for p in sorted(eye_dir.glob("class001_*.pgm"))[:2]]
+        code, out, err = run_main(["classify", "--model", str(model), *images], capsys)
+        assert (code, out) == (1, cli.CLASSIFY_HEADER + "\n")
+        lines = err.splitlines()
+        assert len(lines) == 2, err
+        for line, path in zip(lines, images):
+            assert line.startswith(f"{path}: stage 'forward' failed on {path}: "), line
 
     def test_missing_model(self, eye_dir, tmp_path, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])

@@ -11,8 +11,6 @@ from irisvd.image_io import GrayImage
 from irisvd.iris_boundary import (
     EdgeConfig,
     EdgeNotFoundError,
-    IrisBounds,
-    bounds_csv_line,
     detect_edge,
     iris_bounds,
     mark_bounds,
@@ -299,9 +297,3 @@ class TestDebugOutput:
         assert marked.pixels[10, got.right_x] == 255
         # source untouched
         assert img.pixels[10, got.left_x] != 255
-
-    def test_csv_line(self):
-        line = bounds_csv_line(
-            IrisBounds(left_x=59, right_x=181, left_fallback=False, right_fallback=True)
-        )
-        assert line == "59,181,0,1"
