@@ -56,7 +56,7 @@ SEGMENT_HEADER = "path,x_cp,y_cp,r_x,r_y,area,left_x,right_x,left_fallback,right
 CLASSIFY_HEADER = "path,class,confidence"
 
 
-def _segment_row(path: Path, pupil: PupilGeometry, bounds: IrisBounds) -> str:
+def _segment_row(path: str, pupil: PupilGeometry, bounds: IrisBounds) -> str:
     """One SEGMENT_HEADER row: centroid and radii to 3 decimals, flags as 0/1."""
     return (
         f"{path},{pupil.x_cp:.3f},{pupil.y_cp:.3f},{pupil.r_x:.3f},{pupil.r_y:.3f},"
@@ -65,15 +65,15 @@ def _segment_row(path: Path, pupil: PupilGeometry, bounds: IrisBounds) -> str:
     )
 
 
-def _per_image(header: str, images: list[str], row: Callable[[Path], str]) -> int:
-    """Print header, then row(path) of each image; 1 if any image failed.
+def _per_image(header: str, images: list[str], row: Callable[[str], str]) -> int:
+    """Print header, then row(path) of each path as given; 1 if any failed.
 
     Whatever an image raises becomes its `<path>: <error>` line on stderr,
-    and the next image runs.
+    and the next image runs; neither line rewrites the path.
     """
     print(header)
     failures = 0
-    for path in map(Path, images):
+    for path in images:
         try:
             line = row(path)
         except Exception as exc:
@@ -297,10 +297,10 @@ def _dump_stages(args, path: Path, img, mask, pupil, bounds) -> None:
 def cmd_segment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
 
-    def row(path: Path) -> str:
+    def row(path: str) -> str:
         img, mask, pupil, bounds = segment_eye(path, pcfg)
         if args.dump_stages:
-            _dump_stages(args, path, img, mask, pupil, bounds)
+            _dump_stages(args, Path(path), img, mask, pupil, bounds)
         return _segment_row(path, pupil, bounds)
 
     return _per_image(SEGMENT_HEADER, args.images, row)
@@ -350,7 +350,7 @@ def cmd_classify(args, cfg: dict) -> int:
         return 2
     k = _check_dim(net.shape.n_in)
 
-    def row(path: Path) -> str:
+    def row(path: str) -> str:
         x = _template_spectrum(path, pcfg)[:k]
         # Finite but huge weights or scales can overflow here; raising fails
         # the image at stage 'forward' rather than printing a nan confidence.

@@ -327,12 +327,13 @@ def run_experiment(
     train_cfg: TrainConfig = TrainConfig(),
     pipeline: PipelineConfig = PipelineConfig(),
 ) -> ExperimentGrid:
-    """Fill the class-count by dimension grid over one dataset.
+    """Fill the class-count by dimension grid over one dataset, in two steps.
 
-    Each image goes through the pipeline at most once per run: its spectrum,
-    or the error it failed with, is kept for every later cell.  Class counts
-    beyond the dataset are skipped; a failing cell is recorded with the
-    first error among its images and the sweep continues.
+    First every image of the largest class set that fits the dataset gets
+    its spectrum, once, in class-then-sample order; an image that fails
+    keeps its error text.  Then each cell either fails with the first error
+    text among its images or trains; a training error fails only its own
+    cell.  Class counts beyond the dataset are skipped.
     """
     counts = [c for c in grid.class_counts if c <= len(ds.classes)]
     train_set, test_set = split(ds, grid.n_train)
@@ -340,32 +341,30 @@ def run_experiment(
     if grid.epoch_cap is not None:
         base_cfg = replace(base_cfg, max_epochs=grid.epoch_cap)
 
-    spectra: dict[Path, np.ndarray | Exception] = {}
+    spectra: dict[Path, np.ndarray] = {}
+    errors: dict[Path, str] = {}
+    for cls in ds.classes[: max(counts, default=0)]:
+        for p in ds.samples[cls]:
+            try:
+                spectra[p] = _template_spectrum(p, pipeline, ds.images[p])
+            except Exception as exc:
+                errors[p] = str(exc)
+
     cells: list[GridCell] = []
     for c in counts:
         classes = ds.classes[:c]
+        failed = [errors[p] for cls in classes for p in ds.samples[cls] if p in errors]
         for k in grid.dims:
-            try:
-                for p in (f for cls in classes for f in ds.samples[cls]):
-                    if p not in spectra:
-                        try:
-                            spectra[p] = _template_spectrum(p, pipeline, ds.images[p])
-                        except Exception as exc:
-                            spectra[p] = exc
-                    if isinstance(spectra[p], Exception):
-                        raise spectra[p]
-                cfg = replace(base_cfg, seed=cell_seed(grid.base_seed, c, k))
-                cell = _train_cell(spectra, classes, train_set, test_set, k, cfg)
-            except Exception as exc:
-                cell = GridCell(
-                    classes=c,
-                    dim=k,
-                    rate=None,
-                    epochs=0,
-                    stop_reason="failed",
-                    error=str(exc),
-                )
-            cells.append(cell)
+            error = failed[0] if failed else None
+            if error is None:
+                try:
+                    cfg = replace(base_cfg, seed=cell_seed(grid.base_seed, c, k))
+                    cells.append(_train_cell(spectra, classes, train_set, test_set, k, cfg))
+                    continue
+                except Exception as exc:
+                    error = str(exc)
+            cells.append(GridCell(classes=c, dim=k, rate=None, epochs=0,
+                                  stop_reason="failed", error=error))
     return ExperimentGrid(cells=tuple(cells))
 
 

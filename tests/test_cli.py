@@ -217,7 +217,7 @@ class TestReadOnce:
         images = sorted(eye_dir.glob("*.pgm"))[:3]
         code, out, _ = run_main(["segment", *map(str, images)], capsys)
         assert code == 0 and len(out.splitlines()) == 4
-        assert reads == images
+        assert reads == list(map(str, images))
         assert len(labels) == 3
 
     def test_dump_stages_labels_each_image_once(self, eye_dir, tmp_path, monkeypatch, capsys):
@@ -315,6 +315,29 @@ class TestTrain:
         )
         assert code == 2
         assert "nowhere" in capsys.readouterr().err
+
+
+class TestPathAsGiven:
+    """segment and classify name each image exactly as its argument wrote
+    it, so a caller can match rows and errors back to its inputs by string."""
+
+    @pytest.fixture(params=["segment", "classify"])
+    def command(self, request, eye_dir, model_file, monkeypatch):
+        monkeypatch.chdir(eye_dir.parent)
+        model = ["--model", str(model_file)] if request.param == "classify" else []
+        return [request.param, *model]
+
+    def test_row_starts_with_the_argument(self, command, eye_dir, capsys):
+        given = f"./{eye_dir.name}//class001_sample01.pgm"
+        code, out, err = run_main([*command, given], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[0] == given
+
+    def test_error_starts_with_the_argument(self, command, eye_dir, capsys):
+        missing = f"./{eye_dir.name}/./missing.pgm"
+        code, out, err = run_main([*command, missing], capsys)
+        assert (code, out.count("\n")) == (1, 1)
+        assert err.startswith(f"{missing}: stage 'read' failed on {missing}: "), err
 
 
 class TestClassify:
@@ -688,6 +711,21 @@ class TestReadme:
         rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)`", table, flags=re.M)
         assert sorted(key for key, _ in rows) == sorted(cli.CONFIG_KEYS)
         assert dict(rows) == {knob.key: knob.flag for knob in cli.KNOBS}
+        # Each Default cell starts with the default the knob's --help prints,
+        # whole up to any `;` note; annulus_width's help says it in words.
+        defaults = dict(
+            re.findall(r"^\| `([^`]+)` \| `[^`]+` \| [^|]+ \| ([^|]+) \|$", table, flags=re.M)
+        )
+        wrong = []
+        for knob in cli.KNOBS:
+            cell = defaults[knob.key]
+            if knob.key == "boundary.annulus_width":
+                ok = "twice the larger pupil radius" in cell
+            else:
+                ok = cell.split(";")[0] == re.search(r"\(default ([^)]+)\)", knob.help)[1]
+            if not ok:
+                wrong.append(knob.key)
+        assert wrong == []
 
 
 class TestHelp:

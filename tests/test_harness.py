@@ -285,6 +285,32 @@ class TestRunExperiment:
         assert len(cells) == 4 and len(errors) == 1
         assert f"stage 'segment' failed on {blank}" in errors.pop()
 
+    def test_every_spectrum_before_the_first_cell(self, dataset, monkeypatch):
+        # Step 1 takes the spectra of all classes the largest count needs,
+        # then step 2 trains the cells.
+        events = []
+        spectrum, train_cell = harness._template_spectrum, harness._train_cell
+        monkeypatch.setattr(harness, "_template_spectrum",
+                            lambda *a: events.append("spectrum") or spectrum(*a))
+        monkeypatch.setattr(harness, "_train_cell",
+                            lambda *a: events.append("cell") or train_cell(*a))
+        grid = harness.GridConfig(class_counts=(2, 3), dims=(3,), epoch_cap=20)
+        harness.run_experiment(dataset, grid)
+        assert events == ["spectrum"] * 21 + ["cell"] * 2
+
+    def test_failing_image_fails_only_the_cells_that_hold_it(self, eye_dir, tmp_path):
+        root = tmp_path / "blanked"
+        shutil.copytree(eye_dir, root)
+        blank = root / "class003_sample07.pgm"
+        write_pgm_file(blank, GrayImage(pixels=np.full((280, 320), 255, np.uint8)))
+        ds = harness.load_dataset(root)
+        grid = harness.GridConfig(class_counts=(2, 3), dims=(3, 10), epoch_cap=20)
+        cells = harness.run_experiment(ds, grid).cells
+        assert [(cell.classes, cell.dim) for cell in cells] == [(2, 3), (2, 10), (3, 3), (3, 10)]
+        assert [cell.error for cell in cells[:2]] == [None, None]
+        for cell in cells[2:]:
+            assert cell.error.startswith(f"stage 'segment' failed on {blank}"), cell.error
+
     def test_per_cell_seed_wired(self, dataset, monkeypatch):
         # Every cell's network must be seeded from the cell coordinates.
         seen = []
