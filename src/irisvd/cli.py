@@ -374,22 +374,22 @@ def cmd_experiment(args, cfg: dict) -> int:
         _check_dim(k)
 
     ds = load_dataset(args.data)
-    result = run_experiment(ds, grid, tcfg, pcfg)
-    report = emit_report(result)
+    cells = run_experiment(ds, grid, tcfg, pcfg)
+    report = emit_report(cells)
     if args.out:
         Path(args.out).write_text(report, encoding="ascii")
     sys.stdout.write(report)
 
-    for cell in result.cells:
+    for cell in cells:
         if cell.error is not None:
             print(
                 f"cell ({cell.classes}, {cell.dim}) failed: {cell.error}",
                 file=sys.stderr,
             )
-    if not result.cells:
+    if not cells:
         print("error: no grid cells matched the dataset", file=sys.stderr)
         return 1
-    if all(cell.error is not None for cell in result.cells):
+    if all(cell.error is not None for cell in cells):
         return 1
     return 0
 

@@ -28,7 +28,7 @@ their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -179,8 +179,8 @@ def init(shape: MlpShape, seed: int) -> Mlp:
 
     Draws come from numpy's PCG64 stream for the given seed (w1 first, then
     w2), so identical (shape, seed) pairs give bit-identical networks.  The
-    feature scaling starts as the identity; attach the real one after
-    fitting it on training data.
+    feature scaling starts as the identity; set the fitted one with
+    dataclasses.replace, and Mlp checks its count and makes it floats.
     """
     rng = np.random.default_rng(seed)
     a1 = 1.0 / math.sqrt(shape.n_in)
@@ -218,12 +218,6 @@ def apply_scaling(
     safe = np.where(span > 0.0, span, 1.0)
     out = (arr - lows) / safe
     return np.where(span > 0.0, out, 0.0)
-
-
-def attach_scaling(
-    net: Mlp, scaling: Sequence[tuple[float, float]]
-) -> Mlp:
-    return replace(net, feature_scaling=tuple((float(a), float(b)) for a, b in scaling))
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:

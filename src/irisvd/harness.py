@@ -24,7 +24,6 @@ from .ebp import (
     TrainConfig,
     TrainReport,
     apply_scaling,
-    attach_scaling,
     decode,
     default_hidden,
     encode_target,
@@ -123,11 +122,6 @@ class GridCell:
     epochs: int
     stop_reason: str
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    cells: tuple[GridCell, ...]
 
 
 def _class_key(path: Path) -> str:
@@ -288,7 +282,8 @@ def fit_classifier(
     n_classes = len(classes)
     pairs = [(spectra[p][:k], i) for i, cls in enumerate(classes) for p in train_set[cls]]
     scaling = fit_scaling(np.array([x for x, _ in pairs]))
-    net = attach_scaling(init(MlpShape(k, default_hidden(k), n_classes), cfg.seed), scaling)
+    net = init(MlpShape(k, default_hidden(k), n_classes), cfg.seed)
+    net = replace(net, feature_scaling=scaling)
     batch = [(apply_scaling(scaling, x), encode_target(i, n_classes)) for x, i in pairs]
     return train(net, batch, cfg)
 
@@ -326,7 +321,7 @@ def run_experiment(
     grid: GridConfig = GridConfig(),
     train_cfg: TrainConfig = TrainConfig(),
     pipeline: PipelineConfig = PipelineConfig(),
-) -> ExperimentGrid:
+) -> tuple[GridCell, ...]:
     """Fill the class-count by dimension grid over one dataset, in two steps.
 
     First every image of the largest class set that fits the dataset gets
@@ -365,17 +360,17 @@ def run_experiment(
                     error = str(exc)
             cells.append(GridCell(classes=c, dim=k, rate=None, epochs=0,
                                   stop_reason="failed", error=error))
-    return ExperimentGrid(cells=tuple(cells))
+    return tuple(cells)
 
 
-def emit_report(grid: ExperimentGrid) -> str:
+def emit_report(cells: tuple[GridCell, ...]) -> str:
     """CSV text, one row per cell in grid order.
 
     Failed cells keep their coordinates with an empty rate and the
     stop_reason "failed" so the table stays parseable.
     """
     lines = [REPORT_HEADER]
-    for cell in grid.cells:
+    for cell in cells:
         rate = "" if cell.rate is None else f"{cell.rate:.4f}"
         lines.append(
             f"{cell.classes},{cell.dim},{rate},{cell.epochs},{cell.stop_reason}"

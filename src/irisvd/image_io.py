@@ -243,7 +243,8 @@ def write_pgm(img: GrayImage, ascii: bool = False) -> bytes:
 
 
 def read_pgm_file(path) -> GrayImage:
-    return read_pgm(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return read_pgm(f.read())
 
 
 def write_pgm_file(path, img: GrayImage, ascii: bool = False) -> None:

@@ -16,7 +16,9 @@ svd_factorize sweeps one matrix and logs each round written back; V is the
 log replayed on the identity.  V and U are built only on first read: the
 classifier reads only the leading singular values, a few tens of numbers
 that keep most of a 40x40 template's energy.  svd_spectra sweeps a stack in
-chunks and keeps no log; its rows are byte-identical to svd_factorize's s.
+chunks and keeps no log.  Both refuse empty and non-finite input alike and
+sweep a C-ordered copy, so s depends on the matrix's values alone, and a
+row of svd_spectra is byte-identical to svd_factorize's s.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ JACOBI_MAX_SWEEPS = 60
 _TAU_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
+def _check_entries(arr: np.ndarray) -> None:
+    """Refuse an empty array or one with a non-finite entry."""
+    if arr.size == 0:
+        raise ValueError("matrix must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """Real matrix oriented tall: m >= n, transposing on intake if needed."""
+    """Real matrix oriented tall (m >= n, transposed on intake if needed), C-ordered."""
 
     entries: np.ndarray
 
@@ -42,13 +52,10 @@ class Matrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("matrix must not be empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+        _check_entries(arr)
         if arr.shape[0] < arr.shape[1]:
             arr = arr.T
-        arr = np.array(arr, copy=True)
+        arr = np.array(arr, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -212,10 +219,7 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     columns; each V column is sign-fixed so its largest-magnitude entry is
     nonnegative, which makes the result unique for almost every input."""
     n, log = a.n, []
-    # w keeps the input's memory layout (Fortran order for wide input),
-    # because the order of the norm sums below follows it.
-    w = np.empty_like(a.entries)
-    w[...] = _sweep(a.entries.T[:, None].copy(), log)[0]
+    w = _sweep(a.entries.T[:, None].copy(), log)[0]
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
@@ -254,6 +258,7 @@ def svd_spectra(stack: np.ndarray) -> np.ndarray:
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] < a.shape[2]:
         raise ValueError(f"expected a (B, m, n) stack with m >= n, got shape {a.shape}")
+    _check_entries(a)
     chunks = range(0, len(a), SPECTRA_CHUNK)
     return np.concatenate([_stack_spectra(a[i : i + SPECTRA_CHUNK]) for i in chunks])
 

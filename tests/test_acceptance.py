@@ -208,10 +208,10 @@ def test_criterion_6_end_to_end_recognition(eye_dataset):
     # test classification rate at least 0.8.  Under 2 minutes.
     t0 = time.perf_counter()
     grid = harness.GridConfig(class_counts=(5,), dims=(20,), base_seed=0, epoch_cap=8000)
-    result = harness.run_experiment(eye_dataset, grid, ebp.TrainConfig())
+    cells = harness.run_experiment(eye_dataset, grid, ebp.TrainConfig())
     elapsed = time.perf_counter() - t0
-    assert len(result.cells) == 1
-    cell = result.cells[0]
+    assert len(cells) == 1
+    cell = cells[0]
     assert cell.error is None, cell.error
     assert cell.rate >= 0.8, f"rate {cell.rate}"
     assert elapsed < 120.0, f"criterion 6 took {elapsed:.1f}s"
@@ -224,10 +224,10 @@ def test_criterion_7_dimension_trend(eye_dataset):
     grid = harness.GridConfig(
         class_counts=(3, 4, 5, 6, 7, 8, 9), dims=(3, 20), base_seed=0, epoch_cap=8000
     )
-    result = harness.run_experiment(eye_dataset, grid, ebp.TrainConfig())
+    cells = harness.run_experiment(eye_dataset, grid, ebp.TrainConfig())
     elapsed = time.perf_counter() - t0
-    rates = {(c.classes, c.dim): c.rate for c in result.cells}
-    assert all(cell.error is None for cell in result.cells)
+    rates = {(c.classes, c.dim): c.rate for c in cells}
+    assert all(cell.error is None for cell in cells)
     for count in range(3, 10):
         assert rates[(count, 20)] >= rates[(count, 3)], (
             f"{count} classes: k=20 rate {rates[(count, 20)]} "

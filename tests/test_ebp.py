@@ -667,7 +667,7 @@ class TestFeatureScaling:
 
     def test_attach_scaling(self):
         net = ebp.init(ebp.MlpShape(2, 4, 2), seed=0)
-        out = ebp.attach_scaling(net, [(1.0, 3.0), (0.0, 9.0)])
+        out = replace(net, feature_scaling=[(1.0, 3.0), (0.0, 9.0)])
         assert out.feature_scaling == ((1.0, 3.0), (0.0, 9.0))
         assert np.array_equal(out.w1, net.w1)
 
@@ -677,7 +677,7 @@ class TestModelFile:
         shape = ebp.MlpShape(4, 8, 3)
         net = ebp.init(shape, seed=42)
         rng = np.random.default_rng(0)
-        net = ebp.attach_scaling(net, ebp.fit_scaling(rng.uniform(0, 7, (10, 4))))
+        net = replace(net, feature_scaling=ebp.fit_scaling(rng.uniform(0, 7, (10, 4))))
         path = tmp_path / "model.txt"
         ebp.save_model(path, net)
         back = ebp.load_model(path)

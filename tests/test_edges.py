@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def classify_inputs(work):
     eye = work / "classify_eye.pgm"
     image_io.write_pgm_file(eye, _eye(2))
     net = ebp.init(ebp.MlpShape(3, ebp.default_hidden(3), 2), seed=4)
-    net = ebp.attach_scaling(net, ((0.0, 40.0), (0.0, 10.0), (0.0, 5.0)))
+    net = replace(net, feature_scaling=((0.0, 40.0), (0.0, 10.0), (0.0, 5.0)))
     model = work / "model_src.txt"
     ebp.save_model(model, net)
     return eye, model.read_bytes()

@@ -212,16 +212,16 @@ def small_grid(dataset):
 class TestRunExperiment:
     def test_counts_beyond_dataset_skipped(self, small_grid):
         # 10 classes are not available, so only 3 counts times 2 dims remain.
-        assert len(small_grid.cells) == 6
-        assert {c.classes for c in small_grid.cells} == {3, 4, 6}
+        assert len(small_grid) == 6
+        assert {c.classes for c in small_grid} == {3, 4, 6}
 
     def test_rates_in_unit_interval(self, small_grid):
-        for cell in small_grid.cells:
+        for cell in small_grid:
             assert cell.error is None
             assert 0.0 <= cell.rate <= 1.0
 
     def test_epoch_cap_applies(self, small_grid):
-        for cell in small_grid.cells:
+        for cell in small_grid:
             assert cell.epochs <= 300
 
     def test_only_selected_classes_featurized(self, dataset, monkeypatch):
@@ -235,7 +235,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_template_spectrum", fake_spectrum)
         grid = harness.GridConfig(class_counts=(2,), dims=(3,), epoch_cap=20)
-        (cell,) = harness.run_experiment(dataset, grid).cells
+        (cell,) = harness.run_experiment(dataset, grid)
         assert cell.error is None
         assert len(calls) == 14
 
@@ -253,13 +253,13 @@ class TestRunExperiment:
                 shutil.copy(f, root / f.name)
         ds = harness.load_dataset(root)
         grid = harness.GridConfig(class_counts=(3,), dims=(3,), epoch_cap=50)
-        result = harness.run_experiment(ds, grid)
-        assert len(result.cells) == 1
-        cell = result.cells[0]
+        cells = harness.run_experiment(ds, grid)
+        assert len(cells) == 1
+        cell = cells[0]
         assert cell.error is not None
         assert cell.rate is None
         assert cell.stop_reason == "failed"
-        report = harness.emit_report(result)
+        report = harness.emit_report(cells)
         assert "3,3,,0,failed" in report
 
     def test_each_image_runs_once(self, eye_dir, tmp_path, monkeypatch):
@@ -279,7 +279,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_template_spectrum", spy)
         ds = harness.load_dataset(root)
         grid = harness.GridConfig(class_counts=(2, 3), dims=(3, 10), epoch_cap=20)
-        cells = harness.run_experiment(ds, grid).cells
+        cells = harness.run_experiment(ds, grid)
         assert len(calls) == len(set(calls)) and blank in calls
         errors = {cell.error for cell in cells}
         assert len(cells) == 4 and len(errors) == 1
@@ -305,7 +305,7 @@ class TestRunExperiment:
         write_pgm_file(blank, GrayImage(pixels=np.full((280, 320), 255, np.uint8)))
         ds = harness.load_dataset(root)
         grid = harness.GridConfig(class_counts=(2, 3), dims=(3, 10), epoch_cap=20)
-        cells = harness.run_experiment(ds, grid).cells
+        cells = harness.run_experiment(ds, grid)
         assert [(cell.classes, cell.dim) for cell in cells] == [(2, 3), (2, 10), (3, 3), (3, 10)]
         assert [cell.error for cell in cells[:2]] == [None, None]
         for cell in cells[2:]:
@@ -330,27 +330,23 @@ class TestRunExperiment:
 
 class TestEmitReport:
     def test_single_cell(self):
-        grid = harness.ExperimentGrid(
-            cells=(
-                harness.GridCell(
-                    classes=5, dim=20, rate=1.0, epochs=2150,
-                    stop_reason="goal_met",
-                ),
-            )
+        cells = (
+            harness.GridCell(
+                classes=5, dim=20, rate=1.0, epochs=2150,
+                stop_reason="goal_met",
+            ),
         )
-        text = harness.emit_report(grid)
+        text = harness.emit_report(cells)
         assert text == "classes,dim,rate,epochs,stop_reason\n5,20,1.0000,2150,goal_met\n"
 
     def test_rate_has_four_decimals(self):
-        grid = harness.ExperimentGrid(
-            cells=(
-                harness.GridCell(
-                    classes=8, dim=10, rate=0.8125, epochs=10,
-                    stop_reason="max_epochs",
-                ),
-            )
+        cells = (
+            harness.GridCell(
+                classes=8, dim=10, rate=0.8125, epochs=10,
+                stop_reason="max_epochs",
+            ),
         )
-        assert "8,10,0.8125,10,max_epochs" in harness.emit_report(grid)
+        assert "8,10,0.8125,10,max_epochs" in harness.emit_report(cells)
 
     def test_full_grid_line_count(self):
         cells = tuple(
@@ -361,19 +357,17 @@ class TestEmitReport:
             for c in harness.DEFAULT_CLASS_COUNTS
             for k in harness.DEFAULT_DIMS
         )
-        text = harness.emit_report(harness.ExperimentGrid(cells=cells))
+        text = harness.emit_report(cells)
         assert len(text.splitlines()) == 45
 
     def test_reemission_identical(self):
-        grid = harness.ExperimentGrid(
-            cells=(
-                harness.GridCell(
-                    classes=3, dim=3, rate=0.5, epochs=9,
-                    stop_reason="max_epochs",
-                ),
-            )
+        cells = (
+            harness.GridCell(
+                classes=3, dim=3, rate=0.5, epochs=9,
+                stop_reason="max_epochs",
+            ),
         )
-        assert harness.emit_report(grid) == harness.emit_report(grid)
+        assert harness.emit_report(cells) == harness.emit_report(cells)
 
 
 class TestGridConfigValidation:

@@ -93,6 +93,22 @@ class TestMatrixIntake:
         with pytest.raises(ValueError, match="2-D"):
             Matrix(np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "shape", [(3, 8), (4, 9), (5, 40), (20, 40), (7, 30), (40, 40)], ids="{0[0]}x{0[1]}".format
+    )
+    def test_spectrum_depends_on_values_alone(self, shape):
+        # C-, F-ordered and transposed input give the same bytes, and so
+        # does svd_spectra on the tall C-ordered copy.  A square matrix's
+        # transpose is another matrix, so it has no transposed input.
+        for seed in range(3):
+            x = np.random.default_rng([seed, *shape]).standard_normal(shape)
+            inputs = [x, np.asfortranarray(x)]
+            if shape[0] != shape[1]:
+                inputs.append(x.T.copy())
+            got = {svd_factorize(Matrix(a)).s.tobytes() for a in inputs}
+            tall = np.ascontiguousarray(Matrix(x).entries)
+            assert got == {svd_spectra(tall[None])[0].tobytes()}, seed
+
 
 def check_invariants(a: Matrix, f: SvdFactorization):
     n = f.n
@@ -360,6 +376,10 @@ def assert_rows_are_factorize_spectra(stack: np.ndarray) -> np.ndarray:
     return got
 
 
+_NAN_3X2 = [[1.0, np.nan], [0.0, 1.0], [2.0, 0.0]]
+_INF_3X2 = [[1.0, np.inf], [0.0, 1.0], [2.0, 0.0]]
+
+
 @st.composite
 def _tall_stacks(draw):
     """1-7 tall matrices of one shape, some with a duplicated or a zero column."""
@@ -502,6 +522,27 @@ class TestSpectraStack:
         for bad in (np.zeros((2, 3, 4)), np.zeros((3, 4))):
             with pytest.raises(ValueError, match="stack"):
                 svd_spectra(bad)
+
+    @pytest.mark.parametrize(
+        "stack, matrix",
+        [
+            ([np.ones((3, 2)), _NAN_3X2], _NAN_3X2),
+            ([np.ones((3, 2)), _INF_3X2], _INF_3X2),
+            (np.zeros((0, 3, 2)), np.zeros((0, 2))),
+            (np.zeros((2, 3, 0)), np.zeros((3, 0))),
+        ],
+        ids=["nan", "inf", "no_matrices", "no_columns"],
+    )
+    def test_refuses_what_matrix_refuses(self, stack, matrix):
+        # Same check, same wording: a NaN is no NaN spectrum, an inf no
+        # numpy warning, an empty stack no concatenate error.
+        with pytest.raises(ValueError) as matrix_error:
+            Matrix(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as stack_error:
+                svd_spectra(stack)
+        assert str(stack_error.value) == str(matrix_error.value)
 
 
 class TestFeatureVector:
