@@ -5,20 +5,24 @@ working copy W of A are rotated until every pair is orthogonal; the column
 norms are then the singular values and the normalized columns form U.  A
 round-robin schedule visits every pair once per sweep.
 
-One sweep loop serves a stack of B matrices, B = 1 included.  W is held one
-column per row, matrix by matrix, so a round gathers the p then the q columns
-of its disjoint pairs in one take, as one flat (2, h*B, m) block with a row
-per pair and matrix.  It rotates the block in one fixed-shape step (c = 1,
-s = 0 for a pair that needs no rotation) and scatters it back once.  A matrix
-that rotated nothing in a sweep leaves the stack.
+One values path serves both entry points, on a (B, m, n) stack, B = 1
+included.  Each matrix is scaled by the power of two that brings its largest
+magnitude into [0.5, 1), which is exact, so that its overall scale no longer
+decides whether app * aqq, a fourth power of the entries, overflows or
+underflows.  W is held one column per row, matrix by matrix, so a round
+gathers the p then the q columns of its disjoint pairs in one take, as one
+flat (2, h*B, m) block with a row per pair and matrix, rotates it in one
+fixed-shape step (c = 1, s = 0 for a pair that needs no rotation) and
+scatters it back once.  Every matrix runs every sweep, until a sweep rotates
+no pair of any matrix.
 
-svd_factorize sweeps one matrix and logs each round written back; V is the
-log replayed on the identity.  V and U are built only on first read: the
-classifier reads only the leading singular values, a few tens of numbers
-that keep most of a 40x40 template's energy.  svd_spectra sweeps a stack in
-chunks and keeps no log.  Both refuse empty and non-finite input alike and
-sweep a C-ordered copy, so s depends on the matrix's values alone, and a
-row of svd_spectra is byte-identical to svd_factorize's s.
+svd_factorize runs the path on one matrix and logs each round written back;
+V is the log replayed on the identity.  V and U are built only on first
+read: the classifier reads only the leading singular values, a few tens of
+numbers that keep most of a 40x40 template's energy.  svd_spectra runs it on
+a stack in chunks and keeps no log.  Both refuse empty and non-finite input
+alike and sweep a C-ordered copy, so s depends on the matrix's values alone,
+and a row of svd_spectra is byte-identical to svd_factorize's s.
 """
 
 from __future__ import annotations
@@ -136,19 +140,17 @@ def _fill_orthonormal(u: np.ndarray, col: int) -> np.ndarray:
 
 
 def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
-    """Rotate each matrix of wt until a sweep rotates none; return them swept.
+    """Rotate the matrices of wt until a sweep rotates no pair of any of them.
 
     wt is (n, B, m): wt[j, b] is column j of matrix b, so each Gram sum
     reduces contiguous memory, and every bit of the result depends on that
-    order.  A matrix with no pair to rotate in a round that rotates others
-    is rotated by c = 1, s = 0, which changes at most the sign of a zero.
-    The result is a C-ordered (B, m, n) stack.  Each round written back is
-    appended to log as (pq, cs) when a list is given."""
+    order.  A matrix with no pair to rotate in a round, converged or not, is
+    rotated by c = 1, s = 0, which changes at most the sign of a zero.
+    Returns a C-ordered copy of the swept (B, m, n) stack.  Each round
+    written back is appended to log as (pq, cs) when a list is given."""
     n, nb, m = wt.shape
-    w = np.empty((nb, m, n))
-    live = np.arange(nb)
     for _ in range(JACOBI_MAX_SWEEPS):
-        hits = np.zeros(n // 2 * live.size, dtype=bool)
+        hits = np.zeros(n // 2 * nb, dtype=bool)
         for pq in _round_robin_pairs(n):
             x = wt.take(pq, axis=0)
             x3 = x.reshape(2, -1, m)
@@ -164,7 +166,8 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
             abs_tau = np.abs(tau)
             if np.maximum.reduce(abs_tau) > _TAU_MAX:
                 # tau * tau would overflow, and t rounds to 0 anyway: such a
-                # pair's column norms differ over 1e142-fold.  Leave it be.
+                # pair's column norms differ over 1e142-fold.  Leave it be,
+                # and do not count it as rotated, or the sweeps never stop.
                 rotate &= abs_tau <= _TAU_MAX
                 tau[~rotate] = 0.0
             hits |= rotate
@@ -179,18 +182,10 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
                 # Logged even if the guard dropped every pair: V replays
                 # each write-back of W.
                 log.append((pq, cs))
-        # A matrix that rotated nothing is unchanged, so every later sweep
-        # would be the same: it leaves the stack.  While all rotate, the
-        # stack is kept as it is, uncopied.
-        rotated = hits.reshape(-1, live.size).any(axis=0)
-        if rotated.all():
-            continue
-        w[live[~rotated]] = wt[:, ~rotated].transpose(1, 2, 0)
-        live, wt = live[rotated], wt[:, rotated]
-        if not live.size:
+        # W is unchanged, so every later sweep would be the same.
+        if not hits.any():
             break
-    w[live] = wt.transpose(1, 2, 0)
-    return w
+    return wt.transpose(1, 2, 0).copy()
 
 
 def _rotate(x3: np.ndarray, cs: np.ndarray) -> None:
@@ -219,10 +214,7 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     columns; each V column is sign-fixed so its largest-magnitude entry is
     nonnegative, which makes the result unique for almost every input."""
     n, log = a.n, []
-    w = _sweep(a.entries.T[:, None].copy(), log)[0]
-    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
+    [sigma], [order], [w] = _spectra(a.entries[None], log)
 
     def vectors() -> tuple[np.ndarray, np.ndarray]:
         ws, v = w[:, order], _replay(log, n).T[:, order]
@@ -242,10 +234,11 @@ def svd_factorize(a: Matrix) -> SvdFactorization:
     return f
 
 
-# Matrices that svd_spectra rotates together.  On 45 and on 63 40x40
-# templates, chunks of 16 to 32 run within about 5% of each other (24 led
-# in two series of three), 48 about 5-10% slower and one chunk of 63 1.1-1.3x
-# slower; a chunk of 32 runs 3.2x faster than svd_factorize one at a time.
+# Matrices that svd_spectra rotates together.  Timed in fresh processes on
+# a shared 2-core Xeon VM (best of 5 calls, median of 5 rounds): on 63 40x40
+# templates 32 led, 48 ran 8% slower, 24 16%, one chunk of 63 29% and 16 42%;
+# on 45, chunks of 16 to 45 ran within 15% of each other.  A chunk of 32
+# runs 4.0x faster than svd_factorize one at a time.
 SPECTRA_CHUNK = 32
 
 
@@ -260,15 +253,19 @@ def svd_spectra(stack: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a (B, m, n) stack with m >= n, got shape {a.shape}")
     _check_entries(a)
     chunks = range(0, len(a), SPECTRA_CHUNK)
-    return np.concatenate([_stack_spectra(a[i : i + SPECTRA_CHUNK]) for i in chunks])
+    return np.concatenate([_spectra(a[i : i + SPECTRA_CHUNK])[0] for i in chunks])
 
 
-def _stack_spectra(a: np.ndarray) -> np.ndarray:
-    """_sweep on every matrix of the (B, m, n) stack at once, then the norms.
+def _spectra(a: np.ndarray, log: list | None = None) -> tuple[np.ndarray, ...]:
+    """The values path of both entry points, on a (B, m, n) stack at once.
 
-    The norms are summed over the C-ordered result in svd_factorize's order,
-    and no log is kept."""
-    w = _sweep(a.transpose(2, 0, 1).copy())
+    Each matrix is scaled by 2^-e, e the binary exponent of its largest
+    magnitude (0 for an all-zero matrix), and swept by _sweep, with log.
+    Returns s (B, n), descending, the stable order that sorts the swept
+    columns, and the swept stack; s and the stack are scaled back by 2^e."""
+    e = np.frexp(np.abs(a).max(axis=(1, 2)))[1][:, None]
+    w = _sweep(np.ldexp(a, -e[..., None]).transpose(2, 0, 1).copy(), log)
     norms = np.sqrt(np.einsum("bij,bij->bj", w, w))
     order = np.argsort(-norms, axis=1, kind="stable")
-    return np.take_along_axis(norms, order, axis=1)
+    s = np.ldexp(np.take_along_axis(norms, order, axis=1), e)
+    return s, order, np.ldexp(w, e[..., None])

@@ -151,6 +151,30 @@ class TestSvdFactorize:
         s2 = svd_factorize(Matrix(7.3 * a)).s
         assert np.max(np.abs(s2 - 7.3 * s1)) <= 1e-10 * max(1.0, s2[0])
 
+    @pytest.mark.parametrize("scale", [1e80, 1e-80, 1e160, 1e-160, 1e300, 1e-300])
+    def test_extreme_scales(self, scale):
+        # Entries this large or small overflow or underflow app * aqq, a
+        # fourth power, unless the intake scales them; warnings are errors.
+        a = np.random.default_rng(50).standard_normal((10, 10))
+        want = svd_factorize(Matrix(a)).s * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = svd_factorize(Matrix(a * scale))
+            [row] = svd_spectra((a * scale)[None])
+            recon = f.reconstruct()
+        for s in (f.s, row):
+            assert np.max(np.abs(s - want)) <= 1e-12 * want[0]
+        # Divided back, as the norm's sum of squares would overflow too.
+        assert np.linalg.norm(recon / scale - a) <= 1e-10 * np.linalg.norm(a)
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(10)) <= 1e-10
+        assert np.linalg.norm(f.v.T @ f.v - np.eye(10)) <= 1e-10
+
+    def test_tiny_entry_keeps_its_value(self):
+        # Its square underflows to 0 unless the intake scales it.
+        a = np.array([[1.28e-279]])
+        assert svd_factorize(Matrix(a)).s.tolist() == [1.28e-279]
+        assert svd_spectra(a[None]).tolist() == [[1.28e-279]]
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(8)
         a = rng.uniform(-1, 1, (10, 6))
@@ -216,9 +240,20 @@ class TestSvdFactorize:
         assert f.s == pytest.approx([1.0, 1e-155], abs=4 * np.finfo(float).eps)
 
 
+def _intake_scaled(a: Matrix) -> tuple[Matrix, int]:
+    """a times 2^-e, e the binary exponent of its largest magnitude, and e.
+
+    svd sweeps this exactly scaled matrix and scales s back by 2^e, so a
+    reference loop given it sweeps the same numbers.  For most inputs,
+    templates included, the scaling changes no bit of s."""
+    e = int(np.frexp(np.abs(a.entries).max())[1])
+    return Matrix(np.ldexp(a.entries, -e)), e
+
+
 def assert_same_as_reference(a: Matrix) -> SvdFactorization:
-    got, want = svd_factorize(a), reference_factorize(a)
-    assert got.s.tobytes() == want.s.tobytes()
+    scaled, e = _intake_scaled(a)
+    got, want = svd_factorize(a), reference_factorize(scaled)
+    assert got.s.tobytes() == np.ldexp(want.s, e).tobytes()
     # array_equal ignores the sign of a zero, the one thing allowed to differ.
     assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.v, want.v)
@@ -298,8 +333,10 @@ class TestSameBitsAsReference:
 
 
 def assert_same_bytes_as_stacked(a: Matrix) -> SvdFactorization:
-    got, want = svd_factorize(a), stacked_factorize(a)
-    for name in ("s", "u", "v"):
+    scaled, e = _intake_scaled(a)
+    got, want = svd_factorize(a), stacked_factorize(scaled)
+    assert got.s.tobytes() == np.ldexp(want.s, e).tobytes()
+    for name in ("u", "v"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     return got
 
@@ -372,7 +409,8 @@ def assert_rows_are_factorize_spectra(stack: np.ndarray) -> np.ndarray:
     assert got.shape == (stack.shape[0], stack.shape[2])
     for row, a in zip(got, stack):
         assert row.tobytes() == svd_factorize(Matrix(a)).s.tobytes()
-        assert row.tobytes() == stacked_factorize(Matrix(a)).s.tobytes()
+        scaled, e = _intake_scaled(Matrix(a))
+        assert row.tobytes() == np.ldexp(stacked_factorize(scaled).s, e).tobytes()
     return got
 
 
@@ -428,49 +466,44 @@ class TestSpectraStack:
     def test_matrices_alone(self, raw):
         assert_rows_are_factorize_spectra(raw[None])
 
-    def test_vanishing_pair_beside_a_rotating_matrix(self):
+    def test_vanishing_pair_beside_a_rotating_matrix(self, monkeypatch):
         # tau * tau would overflow for the first matrix's pair while the
-        # second matrix rotates; warnings are errors here.
+        # second matrix rotates; warnings are errors here.  The guard drops
+        # that pair, which must not count as a rotation: the stack stops
+        # once the second matrix converges, not after the last sweep.
         a = np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]])
         stack = np.stack([a, _uniform(40, 3, 2), a])
+        sweeps = _count_sweeps(monkeypatch, svd, "_round_robin_pairs")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            svd_spectra(stack)
+            assert 0 < sweeps[0] < svd.JACOBI_MAX_SWEEPS
             assert_rows_are_factorize_spectra(stack)
 
-    def test_converged_matrices_leave_the_stack(self, monkeypatch):
+    def test_converged_matrices_beside_rotating_ones(self):
         # Orthogonal columns rotate nothing in the first sweep, nearly
         # orthogonal ones stop within a few and a random 40x40 after about
-        # ten: the stack shrinks after the sweep in which a matrix rotated
-        # nothing.
-        live = []
-        rotate = svd._rotate
-
-        def spy(x3, cs):
-            live.append(cs.shape[1] // 20)  # a round of n = 40 has 20 pairs a matrix
-            rotate(x3, cs)
-
-        monkeypatch.setattr(svd, "_rotate", spy)
+        # ten.  A converged matrix goes on being rotated by c = 1, s = 0
+        # while the others rotate, and keeps its bytes.
         stack = np.stack([
             np.eye(40) * np.arange(40.0, 0.0, -1.0),
             np.eye(40) * np.arange(40.0, 0.0, -1.0) + 1e-3 * _uniform(41, 40, 40),
             _uniform(42, 40, 3) @ _uniform(43, 3, 40),
             _uniform(44, 40, 40),
         ])
-        svd_spectra(stack)
-        monkeypatch.undo()
         assert_rows_are_factorize_spectra(stack)
-        assert sorted(set(live), reverse=True) == [4, 3, 2, 1]
-        assert live == sorted(live, reverse=True)
 
     def test_chunks(self, monkeypatch):
+        # svd_spectra's chunks, then svd_factorize's one-matrix stacks, all
+        # through the one values path.
         sizes = []
-        stack_spectra = svd._stack_spectra
+        spectra = svd._spectra
         monkeypatch.setattr(svd, "SPECTRA_CHUNK", 2)
         monkeypatch.setattr(
-            svd, "_stack_spectra", lambda a: sizes.append(len(a)) or stack_spectra(a)
+            svd, "_spectra", lambda a, log=None: sizes.append(len(a)) or spectra(a, log)
         )
         assert_rows_are_factorize_spectra(_uniform(45, 5, 8, 6))
-        assert sizes == [2, 2, 1]
+        assert sizes == [2, 2, 1] + [1] * 5
 
     def test_one_sweep_loop(self, monkeypatch):
         # svd_factorize sweeps its matrix with a log, svd_spectra each chunk
