@@ -16,6 +16,13 @@ fixed-shape step (c = 1, s = 0 for a pair that needs no rotation) and
 scatters it back once.  Every matrix runs every sweep, until a sweep rotates
 no pair of any matrix.
 
+Each pair that needs a rotation gets Rutishauser's t = sign(tau) / (|tau| +
+sqrt(1 + tau^2)), the root taken of tau clamped at 2^27, past which it is
+|tau| to the bit.  Accuracy is still lost in the squares: a column whose
+squared norm is subnormal is off by 3e-8 relative at 1e-158 of the largest
+entry and by 6e-6 at 1e-160; at about 1e-162 its square underflows to 0, and
+the column is no longer rotated and has norm 0.
+
 svd_factorize runs the path on one matrix and logs each round written back;
 V is the log replayed on the identity.  V and U are built only on first
 read: the classifier reads only the leading singular values, a few tens of
@@ -34,8 +41,6 @@ import numpy as np
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
-# Largest |tau| whose square is finite.
-_TAU_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 def _check_entries(arr: np.ndarray) -> None:
@@ -164,23 +169,17 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
                 continue
             tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(h), where=rotate)
             abs_tau = np.abs(tau)
-            if np.maximum.reduce(abs_tau) > _TAU_MAX:
-                # tau * tau would overflow, and t rounds to 0 anyway: such a
-                # pair's column norms differ over 1e142-fold.  Leave it be,
-                # and do not count it as rotated, or the sweeps never stop.
-                rotate &= abs_tau <= _TAU_MAX
-                tau[~rotate] = 0.0
             hits |= rotate
+            # sqrt(1 + tau^2) is |tau| to the bit past 2^27; the clamp keeps tau^2 finite.
+            root = np.maximum(np.sqrt(1.0 + np.square(np.minimum(abs_tau, 2.0**27))), abs_tau)
             # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
-            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
+            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + root))
             cs = np.empty((2, h))
             np.divide(1.0, np.sqrt(1.0 + t * t), out=cs[0])
             np.multiply(t, cs[0], out=cs[1])
             _rotate(x3, cs)
             wt[pq] = x
             if log is not None:
-                # Logged even if the guard dropped every pair: V replays
-                # each write-back of W.
                 log.append((pq, cs))
         # W is unchanged, so every later sweep would be the same.
         if not hits.any():

@@ -1,5 +1,11 @@
 """Reference one-sided Jacobi SVDs, each an earlier loop of svd_factorize.
 
+svd_factorize sweeps its input scaled by a power of two, so each equality
+below holds on the input as that intake scales it
+(tests/test_svd.py::_intake_scaled), with s scaled back.  A reference given
+the unscaled matrix can differ where a squared column norm is subnormal
+(119 units in the last place of s[1] on [[1, 1e-155], [0, 1e-155], [0, 0]]).
+
 reference_factorize is the loop from before W and V shared one array and
 every pair of a round was rotated in one fixed shape.  svd_factorize must
 match it with s byte-identical and u, v equal up to the sign of a zero (the
@@ -9,7 +15,10 @@ stacked_factorize is the stacked W-over-V loop that gathered and scattered
 the p and q columns of a round separately.  svd_factorize must match it
 byte for byte, signs of zeros included.
 
-Both are kept verbatim, schedule builders included.
+Both are kept as they were, schedule builders included, except that each
+now takes sqrt(1 + tau^2) by svd_factorize's rule for large tau: the square
+is clamped at 2^27 and the root is at least |tau|, so a pair whose tau
+squared would overflow is rotated, not skipped.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ import numpy as np
 from irisvd.svd import (
     JACOBI_MAX_SWEEPS,
     JACOBI_TOL,
-    _TAU_MAX,
     Matrix,
     SvdFactorization,
     _fill_orthonormal,
@@ -72,14 +80,12 @@ def reference_factorize(a: Matrix) -> SvdFactorization:
             rp, rq = ps[rotate], qs[rotate]
             tau = (aqq[rotate] - app[rotate]) / (2.0 * apq[rotate])
             abs_tau = np.abs(tau)
-            if abs_tau.max() > _TAU_MAX:
-                keep = abs_tau <= _TAU_MAX
-                rp, rq, tau, abs_tau = rp[keep], rq[keep], tau[keep], abs_tau[keep]
+            root = np.maximum(np.sqrt(1.0 + np.square(np.minimum(abs_tau, 2.0**27))), abs_tau)
             rotated = rotated or rp.size > 0
             t = np.where(
                 tau == 0.0,
                 1.0,
-                np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)),
+                np.sign(tau) / (abs_tau + root),
             )
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
@@ -165,14 +171,10 @@ def stacked_factorize(a: Matrix) -> SvdFactorization:
                 continue
             tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros_like(apq), where=rotate)
             abs_tau = np.abs(tau)
-            if abs_tau.max() > _TAU_MAX:
-                # tau * tau would overflow, and t rounds to 0 anyway: such a
-                # pair's column norms differ over 1e142-fold.  Leave it be.
-                rotate &= abs_tau <= _TAU_MAX
-                tau[~rotate] = 0.0
+            root = np.maximum(np.sqrt(1.0 + np.square(np.minimum(abs_tau, 2.0**27))), abs_tau)
             rotated = rotated or rotate.any()
             # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
-            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau)))
+            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + root))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             wv[:, ps] = c * xp - s * xq

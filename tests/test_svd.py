@@ -232,12 +232,22 @@ class TestSvdFactorize:
         ref = singular_values_via_gram(t)
         assert np.max(np.abs(f.s - ref)) <= 1e-8 * max(1.0, f.s[0])
 
-    def test_vanishing_column_pair_does_not_overflow(self):
-        # tau * tau overflows for this pair; warnings are test errors.
-        a = Matrix(np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]]))
-        f = svd_factorize(a)
-        check_invariants(a, f)
-        assert f.s == pytest.approx([1.0, 1e-155], abs=4 * np.finfo(float).eps)
+    @pytest.mark.parametrize("swap", [False, True], ids=["as_given", "swapped"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-300, 2.0**600], ids=["1", "2^-300", "2^600"])
+    def test_vanishing_column_pair_does_not_overflow(self, scale, swap):
+        # tau * tau overflows for this pair, which must still be rotated: s2
+        # is eps, where skipping the pair leaves sqrt(2) eps.  The intake
+        # rescales each scale exactly; warnings are errors.
+        eps = 1e-155
+        raw = np.array([[1.0, eps], [0.0, eps], [0.0, 0.0]])[:, ::-1 if swap else 1] * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = svd_factorize(Matrix(raw))
+            [row] = svd_spectra(raw[None])
+            # Divided back, as the norm's sum of squares would overflow at 2^600.
+            check_invariants(Matrix(raw / scale), SvdFactorization(f.u, f.s / scale, f.v))
+        for s in (f.s, row):
+            np.testing.assert_allclose(s, np.array([1.0, eps]) * scale, rtol=1e-13)
 
 
 def _intake_scaled(a: Matrix) -> tuple[Matrix, int]:
@@ -468,9 +478,9 @@ class TestSpectraStack:
 
     def test_vanishing_pair_beside_a_rotating_matrix(self, monkeypatch):
         # tau * tau would overflow for the first matrix's pair while the
-        # second matrix rotates; warnings are errors here.  The guard drops
-        # that pair, which must not count as a rotation: the stack stops
-        # once the second matrix converges, not after the last sweep.
+        # second matrix rotates; warnings are errors here.  That pair is
+        # rotated like any other and is orthogonal a sweep later, so the
+        # stack must still stop before the last sweep.
         a = np.array([[1.0, 1e-155], [0.0, 1e-155], [0.0, 0.0]])
         stack = np.stack([a, _uniform(40, 3, 2), a])
         sweeps = _count_sweeps(monkeypatch, svd, "_round_robin_pairs")
