@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ebp import (
-    ModelFormatError, TrainConfig, apply_scaling, decode, forward, load_model, save_model
+    ModelFormatError, TrainConfig, decode, forward, load_model, save_model
 )
 from .harness import (
     DEFAULT_N_TRAIN,
@@ -211,7 +211,7 @@ def parse_config_text(text: str) -> dict:
 def _read_utf8(path: Path, error: type[Exception]) -> str:
     """path's text; undecodable bytes raise error naming the file and line."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: not UTF-8 text") from None
@@ -355,8 +355,7 @@ def cmd_classify(args, cfg: dict) -> int:
         # Finite but huge weights or scales can overflow here; raising fails
         # the image at stage 'forward' rather than printing a nan confidence.
         with np.errstate(over="raise", invalid="raise"):
-            y = _stage("forward", path,
-                       lambda: forward(net, apply_scaling(net.feature_scaling, x)))
+            y = _stage("forward", path, forward, net, x)
         index = decode(y)
         label = labels[index] if labels else str(index)
         return f"{path},{label},{float(y[index]):.4f}"

@@ -2,11 +2,13 @@
 
 The classifier maps a k-dimensional singular-value feature vector through
 one hidden layer (roughly twice the input width) to one sigmoid output per
-class; targets are one-hot and predictions decode by argmax.  Training is
-full-batch gradient descent on the mean squared error with the adaptive
-learning-rate rule: a candidate step that worsens the error beyond a small
-ratio is rejected and the rate shrinks, an improving step is accepted and
-the rate grows.
+class; targets are one-hot and predictions decode by argmax.  The network
+scales its own inputs: forward, train and backprop_gradient map each raw
+feature through the net's feature_scaling.  Training is full-batch
+gradient descent on the mean squared error with the adaptive learning-rate
+rule: a candidate step that worsens the error beyond a small ratio is
+rejected and the rate shrinks, an improving step is accepted and the rate
+grows.
 
 Every epoch's rate, error, and accept/improve outcome is recorded so the
 rate schedule can be audited exactly after the fact.
@@ -61,7 +63,7 @@ def default_hidden(n_in: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Mlp:
-    """Weights plus the per-dimension (min, max) input scaling they expect."""
+    """Weights plus the per-dimension (min, max) scaling applied to every raw input."""
 
     shape: MlpShape
     w1: np.ndarray
@@ -221,8 +223,8 @@ def apply_scaling(
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Output vector for one already-scaled input."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Output vector for one raw input, scaled by net.feature_scaling first."""
+    arr = apply_scaling(net.feature_scaling, x)
     h = _sigmoid(net.w1 @ arr + net.b1, np.empty(net.shape.n_hidden))
     return _sigmoid(net.w2 @ h + net.b2, np.empty(net.shape.n_out))
 
@@ -240,7 +242,7 @@ def _as_batch(net: Mlp, batch) -> tuple[np.ndarray, np.ndarray]:
     binary = (ts == 0.0) | (ts == 1.0)
     if not (np.all(binary) and np.all(ts.sum(axis=1) == 1.0)):
         raise ValueError("targets must be one-hot vectors")
-    return xs, ts
+    return apply_scaling(net.feature_scaling, xs), ts
 
 
 class _Workspace:
@@ -320,7 +322,7 @@ def backprop_gradient(net: Mlp, batch) -> tuple[Gradient, float]:
 
 
 def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, TrainReport]:
-    """Adaptive-rate full-batch gradient descent.
+    """Adaptive-rate full-batch descent on raw inputs, scaled by net.feature_scaling.
 
     Each epoch proposes w' = w - lr * g.  A candidate whose MSE exceeds the
     current MSE by more than the max_perf_inc ratio is rejected (weights

@@ -23,7 +23,6 @@ from .ebp import (
     MlpShape,
     TrainConfig,
     TrainReport,
-    apply_scaling,
     decode,
     default_hidden,
     encode_target,
@@ -277,15 +276,14 @@ def fit_classifier(
     training image; class i of `classes` is output i.
 
     The input scaling is fitted on the training rows and attached to the
-    network, whose initial weights come from cfg.seed.
+    network, which applies it to the raw rows itself; weights start from cfg.seed.
     """
     n_classes = len(classes)
     pairs = [(spectra[p][:k], i) for i, cls in enumerate(classes) for p in train_set[cls]]
     scaling = fit_scaling(np.array([x for x, _ in pairs]))
     net = init(MlpShape(k, default_hidden(k), n_classes), cfg.seed)
     net = replace(net, feature_scaling=scaling)
-    batch = [(apply_scaling(scaling, x), encode_target(i, n_classes)) for x, i in pairs]
-    return train(net, batch, cfg)
+    return train(net, [(x, encode_target(i, n_classes)) for x, i in pairs], cfg)
 
 
 def _train_cell(
@@ -303,10 +301,7 @@ def _train_cell(
         raise ValueError("no test samples in any selected class")
 
     trained, report = fit_classifier(spectra, classes, train_set, k, cfg)
-    correct = sum(
-        decode(forward(trained, apply_scaling(trained.feature_scaling, x))) == want
-        for x, want in test_pairs
-    )
+    correct = sum(decode(forward(trained, x)) == want for x, want in test_pairs)
     return GridCell(
         classes=len(classes),
         dim=k,

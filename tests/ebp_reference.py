@@ -5,6 +5,10 @@ Kept verbatim (sigmoid, forward pass, backward pass and the loop) so the
 allocation-free epoch can be held to the same bits: weights and every
 TrainReport field identical.  backprop_gradient shares the new kernels, so a
 replay through it no longer pins the old arithmetic on its own.
+
+The batch comes from ebp._as_batch, which also scales the raw inputs by the
+net's feature_scaling, so the reference inherits the input scaling of train
+unchanged; on an init net the scaling is the identity, which is exact.
 """
 
 from __future__ import annotations

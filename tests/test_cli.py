@@ -386,6 +386,30 @@ class TestClassify:
         with pytest.raises(ModelFormatError):
             cli._read_utf8(labels, ModelFormatError)
 
+    def test_labels_with_byte_order_mark(self, eye_dir, model_file, tmp_path, capsys):
+        # A BOM is not part of the first label.
+        model = tmp_path / "model.txt"
+        model.write_bytes(model_file.read_bytes())
+        labels = cli._labels_path(model)
+        labels.write_bytes(b"\xef\xbb\xbf" + cli._labels_path(model_file).read_bytes())
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        assert cli.main(["classify", "--model", str(model_file), img]) == 0
+        plain = capsys.readouterr()
+        assert cli.main(["classify", "--model", str(model), img]) == 0
+        assert capsys.readouterr() == plain
+        assert plain.out.splitlines()[1].split(",")[1] == "class001"
+
+    def test_library_forward_matches_row(self, eye_dir, model_file, capsys):
+        # forward scales its own input, so a loaded model takes raw spectra.
+        img = str(sorted(eye_dir.glob("class002_*.pgm"))[-1])
+        assert cli.main(["classify", "--model", str(model_file), img]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        net = ebp.load_model(model_file)
+        x = harness._template_spectrum(img, harness.PipelineConfig())[: net.shape.n_in]
+        y = ebp.forward(net, x)
+        i = ebp.decode(y)
+        assert row == f"{img},class00{i + 1},{y[i]:.4f}"
+
     @pytest.mark.parametrize("text", ["class001\nclass002\n", "a\nb\nc\nd\n", ""])
     def test_labels_count_must_match_outputs(
         self, eye_dir, model_file, tmp_path, monkeypatch, capsys, text
@@ -685,6 +709,18 @@ class TestConfigFile:
         code = cli.main(["experiment", "--data", str(eye_dir), "--config", str(cfg)])
         assert (code, reads) == (2, [])
         assert f"error: {cfg}: line 2: " in capsys.readouterr().err
+
+    def test_byte_order_mark_ignored(self, eye_dir, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsegmentation.threshold = 70\n")
+        assert cli.load_config(str(cfg)) == {"segmentation.threshold": 70}
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        assert cli.main(["segment", "--config", str(cfg), img]) == 0
+        assert capsys.readouterr().err == ""
+        # The BOM moves no line number of an undecodable byte.
+        cfg.write_bytes(b"\xef\xbb\xbf# knobs\nsegmentation.threshold = 7\xff0\n")
+        with pytest.raises(cli.ConfigError, match=": line 2: not UTF-8 text$"):
+            cli.load_config(str(cfg))
 
     def test_comments_and_blank_lines(self):
         parsed = cli.parse_config_text(

@@ -42,6 +42,21 @@ def random_batch(shape, n_samples, seed):
     ]
 
 
+# A non-identity scaling with one constant dimension, which maps to 0.
+SCALING = ((1.0, 3.0), (0.0, 9.0), (2.0, 2.0))
+
+
+def scaled(net, batch):
+    """net with SCALING cycled over its inputs, and batch prescaled by it.
+
+    The identity-scaled net on the prescaled batch is what the scaled net
+    must compute on the raw batch.
+    """
+    scaling = tuple(SCALING[i % 3] for i in range(net.shape.n_in))
+    pre = [(ebp.apply_scaling(scaling, x), t) for x, t in batch]
+    return replace(net, feature_scaling=scaling), pre
+
+
 def mse_by_forward(net, batch):
     """Per-sample forward passes, stacked; independent of the training path."""
     ys = np.array([ebp.forward(net, x) for x, _ in batch])
@@ -199,6 +214,15 @@ class TestForward:
         with pytest.raises(ValueError):
             ebp.forward(net, np.zeros(5))
 
+    @pytest.mark.parametrize(
+        "raw", [[2.0, 4.5, 2.0], [0.0, -9.0, 7.0], [-0.0, 27.0, 1e-300]]
+    )
+    def test_scales_its_own_input(self, raw):
+        identity = random_net(ebp.MlpShape(3, 6, 2), seed=11)
+        net = replace(identity, feature_scaling=SCALING)
+        want = ebp.forward(identity, ebp.apply_scaling(SCALING, raw))
+        assert ebp.forward(net, raw).tobytes() == want.tobytes()
+
 
 class TestInit:
     def test_deterministic(self):
@@ -297,6 +321,18 @@ class TestBackpropAgainstOracle:
             assert np.allclose(
                 getattr(g1, name), getattr(g2, name), rtol=1e-13, atol=0
             )
+
+    @pytest.mark.parametrize("shape", [ebp.MlpShape(3, 6, 3), ebp.MlpShape(7, 14, 4)])
+    def test_scaled_net_on_raw_rows(self, shape):
+        identity = random_net(shape, seed=7)
+        raw = random_batch(shape, n_samples=6, seed=8)
+        net, pre = scaled(identity, raw)
+        grad, mse = ebp.backprop_gradient(net, raw)
+        want, want_mse = ebp.backprop_gradient(identity, pre)
+        assert mse == want_mse
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(grad, name).tobytes() == getattr(want, name).tobytes(), name
+        assert_gradients_match(grad, numeric_gradient(net, raw))
 
     def test_rejects_non_one_hot(self):
         shape = ebp.MlpShape(2, 4, 2)
@@ -559,6 +595,16 @@ class TestAgainstReference:
             ebp.train(start, batch, cfg), reference_train(start, batch, cfg)
         )
 
+    @pytest.mark.parametrize("case", REPLAY_CASES, ids=REPLAY_IDS)
+    def test_scaled_net_trains_on_raw_rows(self, case):
+        # train scales the raw rows itself: a scaled net on raw rows gives
+        # the reference's bits for its identity twin on prescaled rows.
+        start, raw, cfg = replay_setup(case)
+        net, pre = scaled(start, raw)
+        got = ebp.train(net, raw, cfg)
+        assert got[0].feature_scaling == net.feature_scaling
+        assert_same_training(got, reference_train(start, pre, cfg))
+
     @pytest.mark.parametrize("n_out", [3, 5, 7, 9])
     @pytest.mark.parametrize("k", [3, 10, 20, 40])
     def test_grid_shapes(self, k, n_out):
@@ -664,6 +710,13 @@ class TestFeatureScaling:
         scaling = ((0.0, 10.0),)
         assert ebp.apply_scaling(scaling, np.array([15.0]))[0] == 1.5
         assert ebp.apply_scaling(scaling, np.array([-5.0]))[0] == -0.5
+
+    def test_identity_is_exact(self):
+        # (x - 0.0) / 1.0 is x for every finite x, so an init net, whose
+        # scaling is the identity, sees its input bits unchanged.
+        x = np.array([-0.0, 0.0, 5e-324, -1e-300, 0.1, 1e300, -np.finfo(float).max])
+        scaling = ebp.init(ebp.MlpShape(x.size, 2, 2), seed=0).feature_scaling
+        assert ebp.apply_scaling(scaling, x).tobytes() == x.tobytes()
 
     def test_attach_scaling(self):
         net = ebp.init(ebp.MlpShape(2, 4, 2), seed=0)
