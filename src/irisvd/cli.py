@@ -108,10 +108,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _config_optional_int(text: str):
-    return None if text.lower() == "none" else int(text)
-
-
 def _shown(value) -> str:
     """A default as the help text writes it: 5e-7, 3,10,20."""
     if isinstance(value, tuple):
@@ -128,7 +124,6 @@ class Knob(NamedTuple):
     keyword: str  # keyword of the config object or call the value goes to
     type: Callable
     help: str
-    parse: Callable | None = None  # config-file parser, where it is not `type`
 
 
 _SYNTH = inspect.signature(generate_dataset).parameters
@@ -146,8 +141,7 @@ KNOBS = (
     Knob("boundary.jump", "--jump", "pipe", "jump", int,
          f"edge intensity jump (default {EdgeConfig.jump})"),
     Knob("boundary.annulus_width", "--annulus-width", "pipe", "default_annulus_width", int,
-         "fallback iris annulus width in pixels (default: twice the larger pupil radius)",
-         _config_optional_int),
+         "fallback iris annulus width in pixels (default: twice the larger pupil radius)"),
     Knob("train.lr0", "--lr", "tr", "lr0", float,
          f"initial learning rate (default {TrainConfig.lr0})"),
     Knob("train.lr_inc", "--lr-inc", "tr", "lr_inc", float,
@@ -176,15 +170,15 @@ KNOBS = (
     Knob("experiment.dims", "--dims", "experiment", "dims", _parse_int_list,
          f"comma-separated dimensions (default {_shown(GridConfig.dims)})"),
     Knob("experiment.epoch_cap", "--epochs", "experiment", "epoch_cap", int,
-         f"per-cell epoch cap (default {GridConfig.epoch_cap})", _config_optional_int),
+         f"per-cell epoch cap (default {GridConfig.epoch_cap})"),
     Knob("experiment.base_seed", "--seed", "experiment", "base_seed", int,
          f"base seed for per-cell seeding (default {GridConfig.base_seed})"),
     Knob("experiment.n_train", "--n-train", "experiment", "n_train", int,
          f"training samples per class (default {GridConfig.n_train})"),
 )
 
-# Every knob, addressable by dotted name in a config file.
-CONFIG_KEYS = {knob.key: knob.parse or knob.type for knob in KNOBS}
+# Every knob, addressable by dotted name in a config file; a value parses as its flag does.
+CONFIG_KEYS = {knob.key: knob.type for knob in KNOBS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -223,15 +217,18 @@ def load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(_read_utf8(p, ConfigError))
+    text = _read_utf8(p, ConfigError)
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
 
 
 def _knobs(args, cfg: dict, prefix: str) -> dict:
     """Keyword arguments for the knobs under prefix that a flag or the config file set.
 
     A flag wins over the config file; a knob set by neither is left out, so
-    the callee's own default applies.  An explicit `none` in the config
-    file counts as set.
+    the callee's own default applies.
     """
     out = {}
     for knob in KNOBS:
@@ -337,6 +334,7 @@ def cmd_classify(args, cfg: dict) -> int:
     labels = None
     try:
         net = load_model(args.model)
+        k = _check_dim(net.shape.n_in)
         if labels_file.is_file():
             labels = _read_utf8(labels_file, ModelFormatError).splitlines()
             labels = [ln for ln in labels if ln]
@@ -345,10 +343,12 @@ def cmd_classify(args, cfg: dict) -> int:
                     f"{labels_file}: {len(labels)} labels for a model with "
                     f"{net.shape.n_out} outputs"
                 )
+    except ConfigError as exc:  # from the model's input count
+        print(f"error: {args.model}: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    k = _check_dim(net.shape.n_in)
 
     def row(path: str) -> str:
         x = _template_spectrum(path, pcfg)[:k]
@@ -365,9 +365,10 @@ def cmd_classify(args, cfg: dict) -> int:
 
 def cmd_experiment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
-    # train.seed and train.dim are train's own: the grid seeds and sizes each cell.
+    # train.seed, .dim and .max_epochs are train's own: the grid sets them per cell.
     knobs = _knobs(args, cfg, "train.")
-    tcfg = _config(TrainConfig, **{n: v for n, v in knobs.items() if n not in ("seed", "k")})
+    tcfg = _config(TrainConfig, **{n: v for n, v in knobs.items()
+                                   if n not in ("seed", "k", "max_epochs")})
     grid = _config(GridConfig, **_knobs(args, cfg, "experiment."))
     for k in grid.dims:
         _check_dim(k)

@@ -91,6 +91,8 @@ class Mlp:
             raise ValueError(
                 f"feature_scaling needs {s.n_in} entries, got {len(scaling)}"
             )
+        if any(lo > hi for lo, hi in scaling):
+            raise ValueError("feature_scaling minimum exceeds its maximum")
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "w2", w2)
@@ -398,16 +400,7 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
         accepted=tuple(accepted),
         improved=tuple(improved),
     )
-    w1, b1, w2, b2 = params
-    out = Mlp(
-        shape=net.shape,
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-        feature_scaling=net.feature_scaling,
-    )
-    return out, report
+    return Mlp(net.shape, *params, net.feature_scaling), report
 
 
 def decode(y: np.ndarray) -> int:
@@ -469,13 +462,20 @@ def _parse_matrix(lines, idx: int, name: str, shape: tuple[int, int]):
 
 
 def load_model(path) -> Mlp:
+    """The network in a save_model file; a format error names path and line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ModelFormatError(f"{path}: line {line}: non-ASCII byte") from None
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    try:
+        return _parse_model(text.splitlines())
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _parse_model(lines: list[str]) -> Mlp:
     if not lines or lines[0] != MODEL_HEADER:
         raise ModelFormatError(f"line 1: expected header {MODEL_HEADER!r}")
     if len(lines) < 2 or not lines[1].startswith("shape "):
@@ -492,7 +492,10 @@ def load_model(path) -> Mlp:
         parts = lines[idx].split() if idx < len(lines) else []
         if len(parts) != 4 or parts[0] != "scale" or parts[1] != str(i):
             raise ModelFormatError(f"line {idx + 1}: expected scale line {i}")
-        scaling.append(tuple(_parse_floats(parts[2:], idx)))
+        lo, hi = _parse_floats(parts[2:], idx)
+        if lo > hi:
+            raise ModelFormatError(f"line {idx + 1}: scale minimum exceeds maximum")
+        scaling.append((lo, hi))
         idx += 1
 
     w1, idx = _parse_matrix(lines, idx, "w1", (n_hidden, n_in))
@@ -501,11 +504,4 @@ def load_model(path) -> Mlp:
     b2, idx = _parse_matrix(lines, idx, "b2", (1, n_out))
     if any(lines[idx:]):
         raise ModelFormatError(f"line {idx + 1}: trailing content")
-    return Mlp(
-        shape=shape,
-        w1=w1,
-        b1=b1[0],
-        w2=w2,
-        b2=b2[0],
-        feature_scaling=tuple(scaling),
-    )
+    return Mlp(shape, w1, b1[0], w2, b2[0], tuple(scaling))

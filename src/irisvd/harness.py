@@ -91,7 +91,7 @@ class PipelineConfig:
 class GridConfig:
     """Experiment sweep: class counts against feature dimensions.
 
-    epoch_cap bounds per-cell training (None keeps the TrainConfig cap);
+    epoch_cap is every cell's epoch cap, in place of the TrainConfig's;
     the per-cell seed is derived from base_seed and the cell coordinates,
     so cells are independent of execution order.
     """
@@ -100,7 +100,7 @@ class GridConfig:
     dims: tuple[int, ...] = DEFAULT_DIMS
     n_train: int = DEFAULT_N_TRAIN
     base_seed: int = 0
-    epoch_cap: int | None = 8000
+    epoch_cap: int = 8000
 
     def __post_init__(self) -> None:
         if not self.class_counts or min(self.class_counts) < 2:
@@ -109,7 +109,7 @@ class GridConfig:
             raise ValueError("dims must be >= 1 throughout")
         if self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
-        if self.epoch_cap is not None and self.epoch_cap < 1:
+        if self.epoch_cap < 1:
             raise ValueError(f"epoch_cap must be >= 1, got {self.epoch_cap}")
 
 
@@ -322,14 +322,12 @@ def run_experiment(
     First every image of the largest class set that fits the dataset gets
     its spectrum, once, in class-then-sample order; an image that fails
     keeps its error text.  Then each cell either fails with the first error
-    text among its images or trains; a training error fails only its own
-    cell.  Class counts beyond the dataset are skipped.
+    text among its images or trains with train_cfg, capped at grid.epoch_cap
+    and seeded by cell_seed; a training error fails only its own cell.
+    Class counts beyond the dataset are skipped.
     """
     counts = [c for c in grid.class_counts if c <= len(ds.classes)]
     train_set, test_set = split(ds, grid.n_train)
-    base_cfg = train_cfg
-    if grid.epoch_cap is not None:
-        base_cfg = replace(base_cfg, max_epochs=grid.epoch_cap)
 
     spectra: dict[Path, np.ndarray] = {}
     errors: dict[Path, str] = {}
@@ -348,7 +346,8 @@ def run_experiment(
             error = failed[0] if failed else None
             if error is None:
                 try:
-                    cfg = replace(base_cfg, seed=cell_seed(grid.base_seed, c, k))
+                    cfg = replace(train_cfg, max_epochs=grid.epoch_cap,
+                                  seed=cell_seed(grid.base_seed, c, k))
                     cells.append(_train_cell(spectra, classes, train_set, test_set, k, cfg))
                     continue
                 except Exception as exc:

@@ -444,6 +444,39 @@ class TestClassify:
         for line, path in zip(lines, images):
             assert line.startswith(f"{path}: stage 'forward' failed on {path}: "), line
 
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (4, "scale 1 abc 1", "line 4: could not convert string to float: 'abc'"),
+            (3, "scale 0 2 1", "line 3: scale minimum exceeds maximum"),
+            (3, "scale 0 \u00e9 1", "line 3: non-ASCII byte"),
+        ],
+        ids=["bad_float", "inverted_scale", "non_ascii"],
+    )
+    def test_model_error_names_the_file_once(
+        self, eye_dir, model_file, tmp_path, monkeypatch, capsys, line, text, message
+    ):
+        model = tmp_path / "model.txt"
+        lines = model_file.read_text().splitlines()
+        lines[line - 1] = text
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        code = cli.main(["classify", "--model", str(model), img])
+        assert (code, reads) == (2, [])
+        assert capsys.readouterr() == ("", f"error: {model}: {message}\n")
+
+    def test_model_input_count_names_the_file(self, eye_dir, tmp_path, capsys):
+        # One input more than a template has singular values.
+        model = tmp_path / "model41.txt"
+        net = ebp.init(ebp.MlpShape(41, ebp.default_hidden(41), 3), seed=0)
+        ebp.save_model(model, net)
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        code = cli.main(["classify", "--model", str(model), img])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {model}: dimension 41 outside [1, 40]\n")
+
     def test_missing_model(self, eye_dir, tmp_path, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
         code = cli.main(
@@ -548,7 +581,9 @@ class TestConfigFile:
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
         code = cli.main(["segment", "--config", str(cfg), img])
         assert code == 2
-        assert "thresold" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", f"error: {cfg}: line 1: unknown config key 'segmentation.thresold'\n"
+        )
 
     def test_missing_config_file(self, eye_dir, capsys):
         img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
@@ -587,14 +622,12 @@ class TestConfigFile:
         assert cli._knobs(args, {}, "train.") == {}
 
     @pytest.mark.parametrize(
-        "config, grid",
-        [
-            ("", harness.GridConfig()),
-            ("experiment.epoch_cap = none\n", harness.GridConfig(epoch_cap=None)),
-        ],
-        ids=["defaults", "epoch_cap_none"],
+        "config",
+        ["", "train.max_epochs = 3\n"],
+        # train.max_epochs is train's own; experiment.epoch_cap caps the grid.
+        ids=["defaults", "train_max_epochs"],
     )
-    def test_experiment_configs(self, tmp_path, monkeypatch, capsys, config, grid):
+    def test_experiment_configs(self, tmp_path, monkeypatch, capsys, config):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config)
         seen = {}
@@ -608,10 +641,24 @@ class TestConfigFile:
         cli.main(["experiment", "--data", "d", "--config", str(cfg)])
         capsys.readouterr()
         assert seen == {
-            "grid": grid,
+            "grid": harness.GridConfig(),
             "train_cfg": TrainConfig(),
             "pipeline": harness.PipelineConfig(),
         }
+        assert seen["grid"].epoch_cap == 8000
+
+    @pytest.mark.parametrize("key", ["experiment.epoch_cap", "boundary.annulus_width"])
+    def test_none_is_not_a_value(self, tmp_path, monkeypatch, capsys, key):
+        # Each value parses as its flag does, and no flag takes `none`.
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(f"{key} = none\n")
+        monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("ran"))
+        code = cli.main(["experiment", "--data", "d", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {cfg}: line 1: bad value for {key}: "
+            "invalid literal for int() with base 10: 'none'\n"
+        ))
 
     def test_knob_values_cover_every_config_key(self):
         assert sorted(key for key, *_ in KNOB_VALUES) == sorted(cli.CONFIG_KEYS)
@@ -708,7 +755,7 @@ class TestConfigFile:
         monkeypatch.setattr(harness, "read_pgm_file", reads.append)
         code = cli.main(["experiment", "--data", str(eye_dir), "--config", str(cfg)])
         assert (code, reads) == (2, [])
-        assert f"error: {cfg}: line 2: " in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {cfg}: line 2: not UTF-8 text\n")
 
     def test_byte_order_mark_ignored(self, eye_dir, tmp_path, capsys):
         cfg = tmp_path / "bom.cfg"

@@ -819,8 +819,20 @@ class TestModelFile:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ebp.ModelFormatError) as info:
             ebp.load_model(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
+    def test_inverted_scale_rejected(self, tmp_path):
+        # lo == hi marks a dimension constant in training; lo > hi is no range.
+        net = ebp.init(ebp.MlpShape(2, 4, 2), seed=1)
+        with pytest.raises(ValueError, match="minimum exceeds"):
+            replace(net, feature_scaling=((2.0, 1.0), (0.0, 1.0)))
+        path = tmp_path / "model.txt"
+        ebp.save_model(path, replace(net, feature_scaling=((2.0, 2.0), (0.0, 1.0))))
+        assert ebp.load_model(path).feature_scaling == ((2.0, 2.0), (0.0, 1.0))
+        path.write_text(path.read_text().replace("scale 0 2 2\n", "scale 0 2 1\n"))
+        with pytest.raises(ebp.ModelFormatError) as info:
+            ebp.load_model(path)
+        assert str(info.value) == f"{path}: line 3: scale minimum exceeds maximum"
 
     def test_non_ascii_byte_rejected(self, tmp_path):
         net = ebp.init(ebp.MlpShape(2, 4, 2), seed=1)

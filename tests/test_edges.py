@@ -131,7 +131,7 @@ segmentation.threshold = 70
 segmentation.min_area = 2500
 boundary.window = 5
 boundary.jump = 25
-boundary.annulus_width = none
+boundary.annulus_width = 60
 train.lr0 = 0.01
 train.lr_inc = 1.05
 train.lr_dec = 0.7
