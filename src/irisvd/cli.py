@@ -129,8 +129,8 @@ class Knob(NamedTuple):
 _SYNTH = inspect.signature(generate_dataset).parameters
 
 # Callees by key prefix: segmentation -> PipelineConfig, boundary -> EdgeConfig,
-# train -> TrainConfig (train.dim is train's k), synth -> generate_dataset,
-# experiment -> GridConfig.  Flags of one parser are added in this order.
+# train -> TrainConfig (train.dim is train's k, train.n_train its split), synth ->
+# generate_dataset, experiment -> GridConfig.  Flags of one parser are added in this order.
 KNOBS = (
     Knob("segmentation.threshold", "--threshold", "pipe", "threshold", int,
          f"dark threshold (default {PipelineConfig.threshold})"),
@@ -160,6 +160,8 @@ KNOBS = (
          f"epoch cap (default {TrainConfig.max_epochs})"),
     Knob("train.seed", "--seed", "train", "seed", int,
          f"weight init seed (default {TrainConfig.seed})"),
+    Knob("train.n_train", "--n-train", "train", "n_train", int,
+         f"training samples per class (default {DEFAULT_N_TRAIN})"),
     Knob("synth.samples", "--samples", "synth", "samples_per_class", _positive_int,
          f"samples per class (default {_SYNTH['samples_per_class'].default})"),
     Knob("synth.seed", "--seed", "synth", "base_seed", int,
@@ -241,20 +243,30 @@ def _knobs(args, cfg: dict, prefix: str) -> dict:
     return out
 
 
-def _config(cls, **knobs):
-    """cls(**knobs), with an out-of-range knob reported as a ConfigError."""
+def _origin(args, prefix: str, keyword: str) -> str:
+    """What set the knob under prefix that fills keyword: `--flag` or `<config path>: <key>`."""
+    knob = next(k for k in KNOBS if k.key.startswith(prefix) and k.keyword == keyword)
+    return knob.flag if getattr(args, knob.key, None) is not None else f"{args.config}: {knob.key}"
+
+
+def _config(cls, args, cfg: dict, prefix: str, drop=(), **fixed):
+    """cls(**fixed) with the knobs under prefix but those in drop.  Any ValueError is a
+    ConfigError, led by what set the knob that fails on its own if one does."""
+    knobs = {n: v for n, v in _knobs(args, cfg, prefix).items() if n not in drop}
     try:
-        return cls(**knobs)
+        return cls(**fixed, **knobs)
     except ValueError as exc:
+        for keyword, value in knobs.items():
+            try:
+                cls(**{keyword: value})
+            except ValueError as own:
+                raise ConfigError(f"{_origin(args, prefix, keyword)}: {own}") from None
         raise ConfigError(str(exc)) from None
 
 
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
-    return _config(
-        PipelineConfig,
-        **_knobs(args, cfg, "segmentation."),
-        edge=_config(EdgeConfig, **_knobs(args, cfg, "boundary.")),
-    )
+    edge = _config(EdgeConfig, args, cfg, "boundary.")
+    return _config(PipelineConfig, args, cfg, "segmentation.", edge=edge)
 
 
 def _check_dim(k: int) -> int:
@@ -310,13 +322,15 @@ def _labels_path(model_path: Path) -> Path:
 def cmd_train(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
     knobs = _knobs(args, cfg, "train.")
-    k = _check_dim(knobs.pop("k", DEFAULT_DIM))
-    tcfg = _config(TrainConfig, **knobs)
-    if args.n_train < 1:
-        raise ConfigError(f"n_train must be >= 1, got {args.n_train}")
+    k = _check_dim(knobs.get("k", DEFAULT_DIM))
+    n_train = knobs.get("n_train", DEFAULT_N_TRAIN)
+    if n_train < 1:
+        raise ConfigError(f"{_origin(args, 'train.', 'n_train')}: "
+                          f"n_train must be >= 1, got {n_train}")
+    tcfg = _config(TrainConfig, args, cfg, "train.", drop=("k", "n_train"))
 
     ds = load_dataset(args.data)
-    train_set, _ = split(ds, args.n_train)
+    train_set, _ = split(ds, n_train)
     files = [p for cls in ds.classes for p in train_set[cls]]
     spectra = _template_spectra(files, pcfg, ds.images)
     trained, report = fit_classifier(spectra, ds.classes, train_set, k, tcfg)
@@ -365,11 +379,9 @@ def cmd_classify(args, cfg: dict) -> int:
 
 def cmd_experiment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
-    # train.seed, .dim and .max_epochs are train's own: the grid sets them per cell.
-    knobs = _knobs(args, cfg, "train.")
-    tcfg = _config(TrainConfig, **{n: v for n, v in knobs.items()
-                                   if n not in ("seed", "k", "max_epochs")})
-    grid = _config(GridConfig, **_knobs(args, cfg, "experiment."))
+    # train.seed, .dim, .max_epochs and .n_train are train's own; the grid sets its own.
+    tcfg = _config(TrainConfig, args, cfg, "train.", drop=("seed", "k", "max_epochs", "n_train"))
+    grid = _config(GridConfig, args, cfg, "experiment.")
     for k in grid.dims:
         _check_dim(k)
 
@@ -451,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train a classifier on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory")
     _add_knobs(p, "train")
-    p.add_argument("--n-train", dest="n_train", type=int, default=DEFAULT_N_TRAIN,
-                   help="training samples per class (default %(default)s)")
     p.add_argument("--out", default="model.txt",
                    help="model file path (default %(default)s)")
     p.set_defaults(fn=cmd_train)

@@ -85,6 +85,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.threshold <= 255:
             raise ValueError(f"threshold must be in [0, 255], got {self.threshold}")
+        if self.min_pupil_area < 1:
+            raise ValueError(f"min_pupil_area must be >= 1, got {self.min_pupil_area}")
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,9 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
     rotated by c = 1, s = 0, which changes at most the sign of a zero.
     Returns a C-ordered copy of the swept (B, m, n) stack.  Each round
     written back is appended to log as (pq, cs) when a list is given."""
-    n, nb, m = wt.shape
+    n, _, m = wt.shape
     for _ in range(JACOBI_MAX_SWEEPS):
-        hits = np.zeros(n // 2 * nb, dtype=bool)
+        rotated = False
         for pq in _round_robin_pairs(n):
             x = wt.take(pq, axis=0)
             x3 = x.reshape(2, -1, m)
@@ -167,9 +167,9 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
             rotate = off > JACOBI_TOL
             if not np.count_nonzero(rotate):
                 continue
+            rotated = True
             tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(h), where=rotate)
             abs_tau = np.abs(tau)
-            hits |= rotate
             # sqrt(1 + tau^2) is |tau| to the bit past 2^27; the clamp keeps tau^2 finite.
             root = np.maximum(np.sqrt(1.0 + np.square(np.minimum(abs_tau, 2.0**27))), abs_tau)
             # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
@@ -182,7 +182,7 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
             if log is not None:
                 log.append((pq, cs))
         # W is unchanged, so every later sweep would be the same.
-        if not hits.any():
+        if not rotated:
             break
     return wt.transpose(1, 2, 0).copy()
 

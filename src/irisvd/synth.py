@@ -14,19 +14,19 @@ detector: radial slope along a row stays too small to fake a boundary rise,
 and the iris stays in [80, 160] before noise.  Realism is a non-goal; stable
 class separability is the requirement.
 
-The texture is evaluated only where the iris band needs it, and its sines
-are shared where their arguments repeat.  The distance and the radial waves
-depend on |dx| and |dy| alone, so they are evaluated on the grid of distinct
-|dx| by distinct |dy| of the iris's bounding box, a quarter of the box for
-an integral centre, and gathered onto the band.  The angular waves depend on
-the offsets from the centre, so they are evaluated once per class and centre
-fraction, over the integer offsets of a disc that holds every jittered band,
-since the jitter moves the centre by whole pixels.  The bytes are the same
-as when the texture covered the whole canvas: each band pixel's terms are
-the same doubles, summed in the same order (radial, angular, cross); the
-noise is still drawn for the whole canvas before the eyelashes, so the
-sample stream advances as it did; and the whole canvas is rounded, then
-cast straight to uint8.
+The texture is evaluated on the iris's bounding box, whose band alone is
+kept, and its sines are shared where their arguments repeat.  The distance
+and the radial waves depend on |dx| and |dy| alone, so they are evaluated on
+the grid of distinct |dx| by distinct |dy|, a quarter of the box for an
+integral centre, and gathered onto the box.  The angular waves depend on the
+offsets from the centre, which the jitter moves by whole pixels, so they are
+evaluated once per class and centre fraction on a square of integer offsets
+that holds every jittered box; an eye's box is a slice of it.  The bytes are
+the same as when the texture covered the whole canvas: each band pixel's
+terms are the same doubles, summed in the same order (radial, angular,
+cross); the noise is still drawn for the whole canvas before the eyelashes,
+so the sample stream advances as it did; and the whole canvas is rounded,
+then cast straight to uint8.
 
 generate_dataset renders its classes concurrently, one task per class on a
 thread pool of min(n_classes, usable CPUs) threads opened and shut inside
@@ -237,11 +237,10 @@ def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
 def _render_eye(
     spec: EyeSpec, texture, class_angles: dict
 ) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
-    """generate_eye, with the texture parameters of spec's class given, and
-    the angular waves taken from class_angles: per centre fraction, built on
-    first use, the waves on the integer offsets of a disc about the centre
-    and the numbering of the disc's cells.  Every spec that shares the dict
-    must share class_seed and iris_radius."""
+    """generate_eye, given spec's class texture and class_angles, which maps
+    each centre fraction to its angular waves on the square of integer
+    offsets of radius reach (built on first use).  Every spec that shares
+    the dict must share class_seed and iris_radius."""
     radial, angular, cross = texture
     rng = _sample_stream(spec)
 
@@ -250,9 +249,9 @@ def _render_eye(
     r_p = max(29.0, spec.pupil_radius + int(rng.integers(-1, 2)))
     r_i = spec.iris_radius + int(rng.integers(-2, 3))
 
-    # Only the bounding box of the iris is measured, and only its band pixels
-    # are textured: each pixel's arithmetic is the same as on the whole
-    # canvas.  EyeSpec keeps the box inside the canvas and r_i above r_p.
+    # Only the bounding box of the iris is measured and textured, and only
+    # its band is kept: each band pixel's arithmetic is the same as on the
+    # whole canvas.  EyeSpec keeps the box inside the canvas and r_i > r_p.
     top, bottom = math.floor(cy - r_i), math.floor(cy + r_i) + 1
     left, right = math.floor(cx - r_i), math.floor(cx + r_i) + 1
     xs, ys = np.arange(left, right) - cx, np.arange(top, bottom) - cy
@@ -263,34 +262,21 @@ def _render_eye(
     ay, jy = np.unique(np.abs(ys), return_inverse=True)
     grid = np.hypot(ay[:, None], ax)
     dist = grid.take(jy, axis=0).take(jx, axis=1)
-    band = (dist > r_p) & (dist <= r_i)
-    # Waves are evaluated on the true cells of a mask only; the cumulative
-    # sum of the mask numbers those cells for the gather.
-    in_grid = (grid > r_p) & (grid <= r_i)
-    rad = _radial_waves(radial, cross, (grid[in_grid] - r_p) / (r_i - r_p)).take(
-        (np.cumsum(in_grid) - 1)[(jy[:, None] * ax.size + jx)[band]], axis=1
-    )
+    rad = _radial_waves(radial, cross, (grid - r_p) / (r_i - r_p)).take(jy, 1).take(jx, 2)
 
     # col - cx and (col - floor(cx)) - frac(cx) are the same real number, so
     # they round to the same double: a field over integer offsets serves
-    # every jittered centre with the same fraction.  Each band lies in the
-    # disc of radius reach.
+    # every jittered centre with the same fraction.  The square of offsets
+    # up to reach holds the box of every jittered r_i, so a box is a slice.
     col0, row0 = math.floor(cx), math.floor(cy)
     frac = (cx - col0, cy - row0)
     reach = math.ceil(spec.iris_radius) + 3
-    offsets = np.arange(-reach, reach + 1)
     if frac not in class_angles:
-        dx = np.broadcast_to(offsets - frac[0], (offsets.size, offsets.size))
-        dy = np.broadcast_to((offsets - frac[1])[:, None], dx.shape)
-        disc = np.hypot(dx, dy) <= reach
-        class_angles[frac] = (
-            np.cumsum(disc) - 1,
-            _angular_waves(angular, cross, dx[disc], dy[disc]),
-        )
-    at, waves = class_angles[frac]
-    rows = np.arange(top, bottom) - (row0 - reach)
-    cols = np.arange(left, right) - (col0 - reach)
-    ang = waves.take(at[(rows[:, None] * offsets.size + cols)[band]], axis=1)
+        offsets = np.arange(-reach, reach + 1)
+        dx, dy = np.meshgrid(offsets - frac[0], offsets - frac[1])
+        class_angles[frac] = _angular_waves(angular, cross, dx, dy)
+    y0, x0 = top - row0 + reach, left - col0 + reach
+    ang = class_angles[frac][:, y0 : y0 + bottom - top, x0 : x0 + right - left]
 
     # The sum runs in the order of the whole-canvas renderer: the radial
     # waves, each angular wave, then each cross wave (a·sinR)·sinA.
@@ -303,7 +289,8 @@ def _render_eye(
 
     canvas = np.full((spec.height, spec.width), float(spec.sclera_value))
     box = canvas[top:bottom, left:right]
-    box[band] = spec.iris_base + tex
+    band = (dist > r_p) & (dist <= r_i)
+    box[band] = (spec.iris_base + tex)[band]
     pupil_mask = dist <= r_p
     box[pupil_mask] = float(spec.pupil_value)
 

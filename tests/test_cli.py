@@ -3,7 +3,7 @@
 import argparse
 import importlib.util
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +555,7 @@ KNOB_VALUES = [
     ("train.max_epochs", "--epochs", "300", ("train",)),
     ("train.seed", "--seed", "3", ("train",)),
     ("train.dim", "--dim", "7", ("train",)),
+    ("train.n_train", "--n-train", "4", ("train",)),
     ("synth.samples", "--samples", "3", ("synth",)),
     ("synth.seed", "--seed", "4", ("synth",)),
     ("experiment.class_counts", "--classes", "3,5", ("experiment",)),
@@ -568,7 +569,7 @@ KNOB_CASES = [(key, c, flag, value) for key, flag, value, cs in KNOB_VALUES for 
 # Subcommand -> (the call in cli it hands its knobs to, what of that call to compare).
 KNOB_SPIES = {
     "segment": ("segment_eye", lambda path, pcfg: pcfg),
-    "train": ("fit_classifier", lambda spectra, classes, train_set, k, cfg: (k, cfg)),
+    "train": ("fit_classifier", lambda spectra, classes, train_set, k, cfg: (train_set, k, cfg)),
     "synth": ("generate_dataset", lambda n_classes, **kwargs: kwargs),
     "experiment": ("run_experiment", lambda ds, grid, cfg, pcfg: (grid, cfg, pcfg)),
 }
@@ -715,13 +716,16 @@ class TestConfigFile:
             ("experiment", ["--dims", "3,41"], ""),
             ("synth", [], "synth.samples = 0\n"),
             ("synth", [], "synth.samples = -3\n"),
+            ("segment", ["--min-area", "-5"], ""),
+            ("segment", [], "segmentation.min_area = -3\n"),
         ],
         ids=[
             "empty_dims", "lr_inc_below_1", "threshold_300", "lr0_inf",
             "lr_inc_nan", "lr_dec_nan", "max_perf_inc_inf", "mse_goal_nan",
             "min_grad_nan", "lr_flag_inf", "n_train_negative", "n_train_0",
             "train_dim_0", "train_dim_41", "classify_model_41", "experiment_dim_41",
-            "synth_samples_0", "synth_samples_negative",
+            "synth_samples_0", "synth_samples_negative", "min_area_flag_negative",
+            "min_area_negative",
         ],
     )
     def test_out_of_range_knob_is_config_error(
@@ -747,6 +751,58 @@ class TestConfigFile:
         assert (code, reads) == (2, [])
         assert "error:" in capsys.readouterr().err
         assert out.exists() == (command == "classify")
+
+    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "file"])
+    @pytest.mark.parametrize(
+        "command, key, flag, value, message",
+        [
+            ("segment", "segmentation.threshold", "--threshold", "300",
+             "threshold must be in [0, 255], got 300"),
+            ("segment", "boundary.annulus_width", "--annulus-width", "0",
+             "default_annulus_width must be >= 1, got 0"),
+            ("train", "train.lr_dec", "--lr-dec", "1.5",
+             "lr_dec must be in (0, 1), got 1.5"),
+            ("experiment", "experiment.epoch_cap", "--epochs", "0",
+             "epoch_cap must be >= 1, got 0"),
+            # train's split, checked as the grid's n_train is
+            ("train", "train.n_train", "--n-train", "0", "n_train must be >= 1, got 0"),
+        ],
+        ids=["pipeline", "edge", "train", "grid", "train_split"],
+    )
+    def test_range_error_names_what_set_the_value(
+        self, eye_dir, tmp_path, monkeypatch, capsys, command, key, flag, value, message,
+        by_flag
+    ):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [flag, value] if by_flag else ["--config", str(cfg)]
+        inputs = ([str(sorted(eye_dir.glob("*.pgm"))[0])] if command == "segment"
+                  else ["--data", str(eye_dir), "--out", str(tmp_path / "out")])
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
+        code = cli.main([command, *argv, *inputs])
+        origin = flag if by_flag else f"{cfg}: {key}"
+        assert (code, reads) == (2, [])
+        assert capsys.readouterr() == ("", f"error: {origin}: {message}\n")
+
+    def test_range_error_across_knobs_is_config_error(self, monkeypatch):
+        # No knob fails on its own, so the error names no origin, but it is
+        # still a ConfigError (exit 2), not a ValueError.
+        @dataclass
+        class Window:
+            low: int = 0
+            high: int = 10
+
+            def __post_init__(self):
+                if self.low >= self.high:
+                    raise ValueError(f"low {self.low} must be below high {self.high}")
+
+        args = argparse.Namespace(config=None)
+        knobs = [cli.Knob(f"window.{n}", f"--{n}", "pipe", n, int, "") for n in ("low", "high")]
+        monkeypatch.setattr(cli, "KNOBS", tuple(knobs))
+        cfg = {"window.low": 5, "window.high": 3}
+        with pytest.raises(cli.ConfigError, match=r"^low 5 must be below high 3$"):
+            cli._config(Window, args, cfg, "window.")
 
     def test_undecodable_config_is_config_error(self, eye_dir, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "latin1.cfg"
