@@ -269,11 +269,11 @@ def _pipeline_config(args, cfg: dict) -> PipelineConfig:
     return _config(PipelineConfig, args, cfg, "segmentation.", edge=edge)
 
 
-def _check_dim(k: int) -> int:
-    """k, checked against the number of singular values a template has."""
+def _check_dim(k: int, origin: str) -> int:
+    """k, checked against a template's singular value count; origin leads the error."""
     top = min(TEMPLATE_ROWS, TEMPLATE_COLS)
     if not 1 <= k <= top:
-        raise ConfigError(f"dimension {k} outside [1, {top}]")
+        raise ConfigError(f"{origin}: dimension {k} outside [1, {top}]")
     return k
 
 
@@ -322,7 +322,7 @@ def _labels_path(model_path: Path) -> Path:
 def cmd_train(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
     knobs = _knobs(args, cfg, "train.")
-    k = _check_dim(knobs.get("k", DEFAULT_DIM))
+    k = _check_dim(knobs.get("k", DEFAULT_DIM), _origin(args, "train.", "k"))
     n_train = knobs.get("n_train", DEFAULT_N_TRAIN)
     if n_train < 1:
         raise ConfigError(f"{_origin(args, 'train.', 'n_train')}: "
@@ -348,7 +348,7 @@ def cmd_classify(args, cfg: dict) -> int:
     labels = None
     try:
         net = load_model(args.model)
-        k = _check_dim(net.shape.n_in)
+        k = _check_dim(net.shape.n_in, args.model)
         if labels_file.is_file():
             labels = _read_utf8(labels_file, ModelFormatError).splitlines()
             labels = [ln for ln in labels if ln]
@@ -357,9 +357,6 @@ def cmd_classify(args, cfg: dict) -> int:
                     f"{labels_file}: {len(labels)} labels for a model with "
                     f"{net.shape.n_out} outputs"
                 )
-    except ConfigError as exc:  # from the model's input count
-        print(f"error: {args.model}: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -383,7 +380,7 @@ def cmd_experiment(args, cfg: dict) -> int:
     tcfg = _config(TrainConfig, args, cfg, "train.", drop=("seed", "k", "max_epochs", "n_train"))
     grid = _config(GridConfig, args, cfg, "experiment.")
     for k in grid.dims:
-        _check_dim(k)
+        _check_dim(k, _origin(args, "experiment.", "dims"))
 
     ds = load_dataset(args.data)
     cells = run_experiment(ds, grid, tcfg, pcfg)

@@ -3,8 +3,8 @@ experiment grid.
 
 A dataset directory holds class-grouped PGM files, either flat with the
 generator's class/sample naming or one subdirectory per class.  Each class's
-first five samples (lexicographic) train the classifier and the remainder
-test it.  The experiment sweeps class counts against feature dimensions,
+first n_train samples (lexicographic; default 5) train the classifier and the
+remainder test it.  The experiment sweeps class counts against feature dimensions,
 training a fresh deterministically-seeded network per cell, and reports one
 CSV row per cell.
 """

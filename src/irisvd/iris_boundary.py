@@ -52,9 +52,8 @@ class EdgeConfig:
 class IrisBounds:
     """Left and right iris/sclera boundary columns.
 
-    left_fallback / right_fallback record sides where no edge was detected
-    and the bound was synthesized instead (mirrored from the other side, or
-    taken from the configured default annulus width).
+    left_fallback / right_fallback flag the sides where no edge was found
+    and iris_bounds' fallback rule set the bound.
     """
 
     left_x: int
@@ -139,48 +138,32 @@ def detect_edge(
 def iris_bounds(
     img: GrayImage, pupil: PupilGeometry, cfg: EdgeConfig = EdgeConfig()
 ) -> IrisBounds:
-    """Detect both iris boundaries, falling back when a side finds no edge.
+    """Detect both iris boundaries, by one fallback rule for a side with no edge.
 
-    A single failed side copies the annulus width (boundary to pupil edge)
-    of the side that worked; if both fail, cfg.default_annulus_width is
-    applied (None meaning twice the larger pupil radius).  The result is
-    clamped to the image and flags which sides were synthesized.
+    A side's annulus width runs from the pupil edge out to its detected
+    boundary.  A side with no edge takes the other side's width, or
+    cfg.default_annulus_width when neither side has one (None meaning twice
+    the larger pupil radius).  The bounds are clamped to the image, and
+    each fallback flag says that its side found no edge.
     """
     profile = scanline(img, pupil)
-    pupil_left = _pupil_edge_column(pupil, "left")
-    pupil_right = _pupil_edge_column(pupil, "right")
-
-    left_x: int | None = None
-    right_x: int | None = None
-    try:
-        left_x = detect_edge(profile, pupil, "left", cfg.window, cfg.jump)
-    except EdgeNotFoundError:
-        pass
-    try:
-        right_x = detect_edge(profile, pupil, "right", cfg.window, cfg.jump)
-    except EdgeNotFoundError:
-        pass
-
-    left_fb = left_x is None
-    right_fb = right_x is None
-    if left_x is None and right_x is None:
-        width = cfg.default_annulus_width
-        if width is None:
-            width = round_half_away(2.0 * max(pupil.r_x, pupil.r_y))
-        left_x = pupil_left - width
-        right_x = pupil_right + width
-    elif left_x is None:
-        left_x = pupil_left - (right_x - pupil_right)
-    elif right_x is None:
-        right_x = pupil_right + (pupil_left - left_x)
-
-    left_x = max(0, left_x)
-    right_x = min(img.width - 1, right_x)
+    sides = [(side, sign, _pupil_edge_column(pupil, side))
+             for side, sign in (("left", -1), ("right", 1))]
+    widths: dict[str, int] = {}
+    for side, sign, edge in sides:
+        try:
+            widths[side] = sign * (detect_edge(profile, pupil, side, cfg.window, cfg.jump) - edge)
+        except EdgeNotFoundError:
+            pass
+    fallback = next(iter(widths.values()), cfg.default_annulus_width)
+    if fallback is None:
+        fallback = round_half_away(2.0 * max(pupil.r_x, pupil.r_y))
+    left_x, right_x = (edge + sign * widths.get(side, fallback) for side, sign, edge in sides)
     return IrisBounds(
-        left_x=left_x,
-        right_x=right_x,
-        left_fallback=left_fb,
-        right_fallback=right_fb,
+        left_x=max(0, left_x),
+        right_x=min(img.width - 1, right_x),
+        left_fallback="left" not in widths,
+        right_fallback="right" not in widths,
     )
 
 

@@ -766,8 +766,11 @@ class TestConfigFile:
              "epoch_cap must be >= 1, got 0"),
             # train's split, checked as the grid's n_train is
             ("train", "train.n_train", "--n-train", "0", "n_train must be >= 1, got 0"),
+            # feature dimensions, checked against the template's singular values
+            ("train", "train.dim", "--dim", "41", "dimension 41 outside [1, 40]"),
+            ("experiment", "experiment.dims", "--dims", "3,41", "dimension 41 outside [1, 40]"),
         ],
-        ids=["pipeline", "edge", "train", "grid", "train_split"],
+        ids=["pipeline", "edge", "train", "grid", "train_split", "train_dim", "grid_dims"],
     )
     def test_range_error_names_what_set_the_value(
         self, eye_dir, tmp_path, monkeypatch, capsys, command, key, flag, value, message,

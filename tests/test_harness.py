@@ -179,10 +179,10 @@ class TestPipelineFeatures:
         # shape; the spectrum must hold exactly that many values.
         path = dataset.samples[dataset.classes[0]][0]
         size = harness._template_spectrum(path, harness.PipelineConfig()).size
-        assert cli._check_dim(size) == size
+        assert cli._check_dim(size, "--dim") == size
         for k in (0, size + 1):
-            with pytest.raises(cli.ConfigError):
-                cli._check_dim(k)
+            with pytest.raises(cli.ConfigError, match=f"^--dim: dimension {k} outside"):
+                cli._check_dim(k, "--dim")
 
 
 class TestCellSeed:

@@ -18,7 +18,7 @@ from irisvd.iris_boundary import (
 )
 from irisvd.segmentation import PupilGeometry, pupil_geometry, threshold_dark
 from irisvd.synth import EyeSpec, class_seed_for, generate_eye
-from iris_boundary_reference import reference_detect_edge
+from iris_boundary_reference import reference_detect_edge, reference_iris_bounds
 
 WIDTH = 320
 
@@ -181,9 +181,36 @@ def edge_scan(draw):
     return profile, make_pupil(x_cp=x_cp, r_x=r_x), direction, window, jump
 
 
+def bounds_outcome(fn, img, pupil, cfg):
+    try:
+        return fn(img, pupil, cfg)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def border_iris_image(side, width=WIDTH, pupil_r=20, iris_r=60, x_cp=40):
+    """Rows all identical: the iris band runs into the border on `side`, so
+    that side has no edge and its mirrored bound lies outside the image."""
+    row = np.full(width, 240.0)
+    row[: x_cp + iris_r + 1] = 120.0
+    row[x_cp - pupil_r : x_cp + pupil_r + 1] = 10.0
+    if side == "right":
+        row, x_cp = row[::-1], width - 1 - x_cp
+    pupil = make_pupil(x_cp=float(x_cp), r_x=float(pupil_r), r_y=float(pupil_r))
+    return GrayImage(pixels=np.tile(row, (21, 1))), pupil
+
+
+def dark_band_image(width, lo, hi):
+    """A bright image with a dark pupil band and no iris: neither side has an edge."""
+    pixels = np.full((21, width), 240.0)
+    pixels[:, lo:hi] = 10.0
+    return GrayImage(pixels=pixels)
+
+
 class TestDetectEdgeAgainstReference:
     """The prefix-sum scan gives the column, or the error text, of the
-    column-by-column loop (tests/iris_boundary_reference.py)."""
+    column-by-column loop, and iris_bounds gives the IrisBounds of the
+    three-branch fallback it replaced (tests/iris_boundary_reference.py)."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(edge_scan())
@@ -230,6 +257,30 @@ class TestDetectEdgeAgainstReference:
                         assert edge_outcome(detect_edge, *scan) == edge_outcome(
                             reference_detect_edge, *scan
                         )
+                    bounds_in = (eye, pupil, EdgeConfig())
+                    assert bounds_outcome(iris_bounds, *bounds_in) == bounds_outcome(
+                        reference_iris_bounds, *bounds_in
+                    )
+
+    @pytest.mark.parametrize(
+        "img, pupil, cfg, fallbacks",
+        [
+            # a pupil taller than wide: the default is twice r_y
+            (dark_band_image(WIDTH, 90, 151), make_pupil(r_y=36.0), EdgeConfig(), (True, True)),
+            (dark_band_image(WIDTH, 90, 151), make_pupil(),
+             EdgeConfig(default_annulus_width=25), (True, True)),
+            (dark_band_image(60, 5, 46),
+             make_pupil(x_cp=25.0, r_x=20.0, r_y=20.0, area=1300), EdgeConfig(), (True, True)),
+            (*border_iris_image("left"), EdgeConfig(), (True, False)),
+            (*border_iris_image("right"), EdgeConfig(), (False, True)),
+        ],
+        ids=["both_fail_default", "both_fail_width_25", "both_fail_clamped",
+             "left_clamped", "right_clamped"],
+    )
+    def test_bounds_no_degraded_eye_reaches(self, img, pupil, cfg, fallbacks):
+        got = iris_bounds(img, pupil, cfg)
+        assert got == reference_iris_bounds(img, pupil, cfg)
+        assert (got.left_fallback, got.right_fallback) == fallbacks
 
 
 class TestIrisBounds:
