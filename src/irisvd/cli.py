@@ -21,6 +21,7 @@ import argparse
 import functools
 import inspect
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -184,8 +185,9 @@ CONFIG_KEYS = {knob.key: knob.type for knob in KNOBS}
 
 
 def parse_config_text(text: str) -> dict:
-    """`key = value` per line; `#` starts a comment; unknown keys rejected."""
+    """`key = value` per line; `#` starts a comment; unknown and repeated keys rejected."""
     values = {}
+    set_on = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -197,6 +199,11 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r} (first set on line {set_on[key]})"
+            )
+        set_on[key] = lineno
         try:
             values[key] = CONFIG_KEYS[key](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -385,9 +392,10 @@ def cmd_experiment(args, cfg: dict) -> int:
     ds = load_dataset(args.data)
     cells = run_experiment(ds, grid, tcfg, pcfg)
     report = emit_report(cells)
+    # Printed first, so an --out that cannot be written loses no report.
+    sys.stdout.write(report)
     if args.out:
         Path(args.out).write_text(report, encoding="ascii")
-    sys.stdout.write(report)
 
     for cell in cells:
         if cell.error is not None:
@@ -483,14 +491,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args, load_config(args.config))
-    except (ConfigError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A shown warning is one `warning: <message>` line; the filters still
+    # decide which warnings show.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args, load_config(args.config))
+        except (ConfigError, DatasetError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

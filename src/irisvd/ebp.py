@@ -10,8 +10,8 @@ rule: a candidate step that worsens the error beyond a small ratio is
 rejected and the rate shrinks, an improving step is accepted and the rate
 grows.
 
-Every epoch's rate, error, and accept/improve outcome is recorded so the
-rate schedule can be audited exactly after the fact.
+Training keeps one record per epoch, its error, rate, and accept/improve
+outcome, so the rate schedule can be audited exactly after the fact.
 
 Training holds w1, b1, w2, b2 as reshaped views into one flat float64
 vector, with the gradient in a second vector of the same layout, so a
@@ -20,7 +20,7 @@ the candidate; when the candidate is accepted its activations and error
 are kept and the next gradient is taken from them.  The arithmetic is the
 same as a step-by-step replay through backprop_gradient, bit for bit.
 
-An epoch allocates nothing: the activations, sigmoid scratch, error and
+An epoch allocates no array: the activations, sigmoid scratch, error and
 its square, the deltas and the step live in one workspace allocated per
 train call, and every ufunc and matrix product writes into it with out=.
 forward and backprop_gradient run the same in-place kernels on buffers of
@@ -73,19 +73,16 @@ class Mlp:
     feature_scaling: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        w1 = np.array(self.w1, dtype=np.float64, copy=True)
-        b1 = np.array(self.b1, dtype=np.float64, copy=True)
-        w2 = np.array(self.w2, dtype=np.float64, copy=True)
-        b2 = np.array(self.b2, dtype=np.float64, copy=True)
         s = self.shape
-        if w1.shape != (s.n_hidden, s.n_in) or b1.shape != (s.n_hidden,):
-            raise ValueError(f"layer-1 arrays do not match shape {s}")
-        if w2.shape != (s.n_out, s.n_hidden) or b2.shape != (s.n_out,):
-            raise ValueError(f"layer-2 arrays do not match shape {s}")
-        for arr in (w1, b1, w2, b2):
+        for name, shape in (("w1", (s.n_hidden, s.n_in)), ("b1", (s.n_hidden,)),
+                            ("w2", (s.n_out, s.n_hidden)), ("b2", (s.n_out,))):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("weights must be finite")
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         scaling = tuple((float(lo), float(hi)) for lo, hi in self.feature_scaling)
         if len(scaling) != s.n_in:
             raise ValueError(
@@ -93,10 +90,6 @@ class Mlp:
             )
         if any(lo > hi for lo, hi in scaling):
             raise ValueError("feature_scaling minimum exceeds its maximum")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "feature_scaling", scaling)
 
 
@@ -353,16 +346,13 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
     grad_norm = np.maximum.reduce(np.abs(grad, out=step), axis=None)
     lr = cfg.lr0
 
-    mse_trace: list[float] = []
-    lr_trace: list[float] = []
-    accepted: list[bool] = []
-    improved: list[bool] = []
-
+    # One (mse, lr, accepted, improved) record per epoch.
+    history: list[tuple[float, float, bool, bool]] = []
     while True:
         if cur <= cfg.mse_goal:
             reason = "goal_met"
             break
-        if len(mse_trace) >= cfg.max_epochs:
+        if len(history) >= cfg.max_epochs:
             reason = "max_epochs"
             break
         if grad_norm < cfg.min_grad:
@@ -372,33 +362,29 @@ def train(net: Mlp, train_set, cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, T
         np.multiply(grad, lr, out=step)
         np.subtract(theta, step, out=cand)
         cand_mse = _evaluate(*cand_params, xs, ts, ws)
-        lr_trace.append(lr)
         if cand_mse > cur * cfg.max_perf_inc:
-            accepted.append(False)
-            improved.append(False)
-            mse_trace.append(cur)
+            history.append((cur, lr, False, False))
             lr = lr * cfg.lr_dec
         else:
             theta, cand = cand, theta
             params, cand_params = cand_params, params
             _backward(params[2], xs, ws, grad_views)
             grad_norm = np.maximum.reduce(np.abs(grad, out=step), axis=None)
-            accepted.append(True)
             better = cand_mse < cur
-            improved.append(better)
-            mse_trace.append(cand_mse)
+            history.append((cand_mse, lr, True, better))
             cur = cand_mse
             if better:
                 lr = lr * cfg.lr_inc
 
+    mse_trace, lr_trace, accepted, improved = zip(*history) if history else ((),) * 4
     report = TrainReport(
-        epochs_run=len(mse_trace),
+        epochs_run=len(history),
         final_mse=cur,
         stop_reason=reason,
-        mse_trace=tuple(mse_trace),
-        lr_trace=tuple(lr_trace),
-        accepted=tuple(accepted),
-        improved=tuple(improved),
+        mse_trace=mse_trace,
+        lr_trace=lr_trace,
+        accepted=accepted,
+        improved=improved,
     )
     return Mlp(net.shape, *params, net.feature_scaling), report
 

@@ -316,6 +316,22 @@ class TestTrain:
         assert code == 2
         assert "nowhere" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_small_class_warning_is_one_line(self, eye_dir, tmp_path, capsys):
+        # Shown as a run outside the tests shows it: no category, source path
+        # or source line.
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in sorted(eye_dir.glob("*.pgm")):
+            if f.name.startswith(("class001_", "class002_", "class003_sample01")):
+                (data / f.name).write_bytes(f.read_bytes())
+        code, _, err = run_main(
+            ["train", "--data", str(data), "--dim", "3", "--epochs", "20",
+             "--out", str(tmp_path / "m.txt")], capsys
+        )
+        assert code == 0
+        assert err == "warning: class 'class003' has only 1 samples, need 3; skipping\n"
+
 
 class TestPathAsGiven:
     """segment and classify name each image exactly as its argument wrote
@@ -511,6 +527,18 @@ class TestExperiment:
             assert stdout == out.read_text()
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_unwritable_out_keeps_report(self, eye_dir, tmp_path, capsys):
+        # The report reaches stdout before --out is written, so a failed
+        # write exits 1 without losing it.
+        argv = ["experiment", "--data", str(eye_dir), "--classes", "3",
+                "--dims", "3,10", "--epochs", "300", "--seed", "2", "--out"]
+        missing = tmp_path / "missing" / "r.csv"
+        code, stdout, err = run_main([*argv, str(missing)], capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert run_main([*argv, str(tmp_path / "r.csv")], capsys)[0] == 0
+        assert stdout == (tmp_path / "r.csv").read_text()
 
     def test_blank_training_image_fails_its_stage(self, eye_dir, tmp_path, capsys):
         # Segmenting and templating still run per image, in file order, so
@@ -718,6 +746,7 @@ class TestConfigFile:
             ("synth", [], "synth.samples = -3\n"),
             ("segment", ["--min-area", "-5"], ""),
             ("segment", [], "segmentation.min_area = -3\n"),
+            ("train", [], "train.dim = 3\ntrain.dim = 4\n"),
         ],
         ids=[
             "empty_dims", "lr_inc_below_1", "threshold_300", "lr0_inf",
@@ -725,7 +754,7 @@ class TestConfigFile:
             "min_grad_nan", "lr_flag_inf", "n_train_negative", "n_train_0",
             "train_dim_0", "train_dim_41", "classify_model_41", "experiment_dim_41",
             "synth_samples_0", "synth_samples_negative", "min_area_flag_negative",
-            "min_area_negative",
+            "min_area_negative", "duplicate_key",
         ],
     )
     def test_out_of_range_knob_is_config_error(
