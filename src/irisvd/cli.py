@@ -18,6 +18,7 @@ forward pass overflows), the rest are processed, and the run exits 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import inspect
 import sys
@@ -57,31 +58,33 @@ SEGMENT_HEADER = "path,x_cp,y_cp,r_x,r_y,area,left_x,right_x,left_fallback,right
 CLASSIFY_HEADER = "path,class,confidence"
 
 
-def _segment_row(path: str, pupil: PupilGeometry, bounds: IrisBounds) -> str:
+def _segment_row(path: str, pupil: PupilGeometry, bounds: IrisBounds) -> tuple:
     """One SEGMENT_HEADER row: centroid and radii to 3 decimals, flags as 0/1."""
     return (
-        f"{path},{pupil.x_cp:.3f},{pupil.y_cp:.3f},{pupil.r_x:.3f},{pupil.r_y:.3f},"
-        f"{pupil.area},{bounds.left_x},{bounds.right_x},"
-        f"{int(bounds.left_fallback)},{int(bounds.right_fallback)}"
+        path, f"{pupil.x_cp:.3f}", f"{pupil.y_cp:.3f}", f"{pupil.r_x:.3f}",
+        f"{pupil.r_y:.3f}", pupil.area, bounds.left_x, bounds.right_x,
+        int(bounds.left_fallback), int(bounds.right_fallback),
     )
 
 
-def _per_image(header: str, images: list[str], row: Callable[[str], str]) -> int:
-    """Print header, then row(path) of each path as given; 1 if any failed.
+def _per_image(header: str, images: list[str], row: Callable[[str], tuple]) -> int:
+    """Write header, then row(path) of each path as given, as CSV rows; 1 if
+    any failed.  Only a field with a comma, a quote or a line break is quoted.
 
     Whatever an image raises becomes its `<path>: <error>` line on stderr,
     and the next image runs; neither line rewrites the path.
     """
-    print(header)
+    out = csv.writer(sys.stdout, lineterminator="\n")  # per call: stdout may be redirected
+    out.writerow(header.split(","))
     failures = 0
     for path in images:
         try:
-            line = row(path)
+            fields = row(path)
         except Exception as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
         else:
-            print(line)
+            out.writerow(fields)
     return 1 if failures else 0
 
 
@@ -306,14 +309,14 @@ def _dump_stages(args, path: Path, img, mask, pupil, bounds) -> None:
     )
     for name, stage_img in stages:
         write_pgm_file(
-            out_dir / f"{path.stem}_{name}.pgm", stage_img, ascii=args.ascii_pgm
+            out_dir / f"{path.stem}_{name}.pnm", stage_img, ascii=args.ascii_pgm
         )
 
 
 def cmd_segment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
 
-    def row(path: str) -> str:
+    def row(path: str) -> tuple:
         img, mask, pupil, bounds = segment_eye(path, pcfg)
         if args.dump_stages:
             _dump_stages(args, Path(path), img, mask, pupil, bounds)
@@ -345,7 +348,8 @@ def cmd_train(args, cfg: dict) -> int:
     out = Path(args.out)
     save_model(out, trained)
     _labels_path(out).write_text("".join(f"{c}\n" for c in ds.classes), encoding="utf-8")
-    print(f"{out},{report.epochs_run},{report.final_mse:.6g},{report.stop_reason}")
+    csv.writer(sys.stdout, lineterminator="\n").writerow(
+        (out, report.epochs_run, f"{report.final_mse:.6g}", report.stop_reason))
     return 0
 
 
@@ -368,7 +372,7 @@ def cmd_classify(args, cfg: dict) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    def row(path: str) -> str:
+    def row(path: str) -> tuple:
         x = _template_spectrum(path, pcfg)[:k]
         # Finite but huge weights or scales can overflow here; raising fails
         # the image at stage 'forward' rather than printing a nan confidence.
@@ -376,7 +380,7 @@ def cmd_classify(args, cfg: dict) -> int:
             y = _stage("forward", path, forward, net, x)
         index = decode(y)
         label = labels[index] if labels else str(index)
-        return f"{path},{label},{float(y[index]):.4f}"
+        return path, label, f"{float(y[index]):.4f}"
 
     return _per_image(CLASSIFY_HEADER, args.images, row)
 

@@ -138,10 +138,11 @@ def load_dataset(directory) -> Dataset:
     """Scan a directory of PGM eye images into deterministic class groups.
 
     Subdirectories are treated as classes; flat files group by the portion
-    of the name before the sample suffix.  Classes with fewer than
-    MIN_SAMPLES_PER_CLASS samples are dropped with a warning.  Every image
-    must parse and share one common size; the decoded images are kept, so
-    nothing reads them again.
+    of the name before the sample suffix; only `*.pgm` files count.  Classes
+    with fewer than MIN_SAMPLES_PER_CLASS samples are dropped with a warning,
+    and at least 2 classes must remain, checked before any image is decoded.
+    Every image must parse and share one common size; the decoded images are
+    kept, so nothing reads them again.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -166,8 +167,9 @@ def load_dataset(directory) -> Dataset:
             )
             continue
         kept[cls] = tuple(files)
-    if not kept:
-        raise DatasetError(f"no classes with >= {MIN_SAMPLES_PER_CLASS} samples in {root}")
+    if len(kept) < 2:
+        raise DatasetError(f"need 2 classes with >= {MIN_SAMPLES_PER_CLASS} samples "
+                           f"in {root}, found {len(kept)}")
 
     images: dict[Path, GrayImage] = {}
     shape: tuple[int, int] | None = None

@@ -96,9 +96,9 @@ class EyeSpec:
             raise ValueError(
                 f"pupil_radius must be >= 29, got {self.pupil_radius}"
             )
-        # generate_eye moves the centre and the iris radius by up to 2 px and
-        # the pupil radius by up to 1, so these checks hold for every
-        # geometry it can draw, not only for the nominal one.
+        # A render moves the centre and the iris radius by up to 2 px and the
+        # pupil radius by up to 1, so these checks hold for every geometry
+        # it can draw, not only for the nominal one.
         if not self.iris_radius - 2 > self.pupil_radius + 1:
             raise ValueError(
                 f"pupil_radius {self.pupil_radius} must stay below iris_radius "
@@ -224,23 +224,15 @@ def _angular_waves(angular, cross, dx, dy):
     return waves
 
 
-def generate_eye(spec: EyeSpec) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
-    """Render one eye and return it with the exact geometry that was drawn.
-
-    The returned PupilGeometry and IrisBounds reflect the jittered values
-    actually used, not the nominal ones in the EyeSpec; the pupil area is
-    the exact rasterized pixel count.
-    """
-    return _render_eye(spec, _texture_params(spec), {})
-
-
 def _render_eye(
     spec: EyeSpec, texture, class_angles: dict
 ) -> tuple[GrayImage, PupilGeometry, IrisBounds]:
-    """generate_eye, given spec's class texture and class_angles, which maps
-    each centre fraction to its angular waves on the square of integer
-    offsets of radius reach (built on first use).  Every spec that shares
-    the dict must share class_seed and iris_radius."""
+    """Render one eye from spec's class texture and return it with the
+    jittered geometry it drew, not the nominal one in the EyeSpec; the
+    pupil area is the rasterized pixel count.  class_angles maps each centre
+    fraction to its angular waves on the square of integer offsets of
+    radius reach (built on first use).  Every spec that shares the dict must
+    share class_seed and iris_radius."""
     radial, angular, cross = texture
     rng = _sample_stream(spec)
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving main() in process."""
 
 import argparse
+import csv
 import importlib.util
 import re
 from dataclasses import dataclass, replace
@@ -153,8 +154,22 @@ class TestSegment:
             "bounds": mark_bounds(eye, pupil, bounds).pixels,
         }
         for suffix, pixels in expected.items():
-            dumped = read_pgm_file(tmp_path / f"{img.stem}_{suffix}.pgm")
+            dumped = read_pgm_file(tmp_path / f"{img.stem}_{suffix}.pnm")
             assert np.array_equal(dumped.pixels, pixels), suffix
+
+    @pytest.mark.parametrize("layout", ["flat", "subdirectories"])
+    def test_dumps_beside_a_dataset_are_not_samples(self, eye_dir, tmp_path, capsys, layout):
+        data = tmp_path / "data"
+        for f in eye_dir.glob("*.pgm"):
+            dest = data / f.name[:8] / f.name if layout == "subdirectories" else data / f.name
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.write_bytes(f.read_bytes())
+        before = harness.load_dataset(data).samples
+        img = next(data.rglob("class001_sample01.pgm"))
+        code, _, err = run_main(["segment", str(img), "--dump-stages"], capsys)
+        assert (code, err) == (0, "")
+        assert len(list(img.parent.glob("class001_sample01_*"))) == 3
+        assert harness.load_dataset(data).samples == before
 
     def test_row_of_eye_cropped_into_iris(self, tmp_path, monkeypatch, capsys):
         # A degraded eye cut off inside the iris on its right, as the
@@ -236,7 +251,7 @@ class TestReadOnce:
         code, out, _ = run_main(argv, capsys)
         assert code == 0 and len(out.splitlines()) == 4
         assert len(labels) == 3
-        assert len(list(tmp_path.glob("*_filtered.pgm"))) == 3
+        assert len(list(tmp_path.glob("*_filtered.pnm"))) == 3
 
     def test_experiment_decodes_each_image_once(self, eye_dir, monkeypatch, capsys):
         decodes, reads = [], []
@@ -316,6 +331,29 @@ class TestTrain:
         assert code == 2
         assert "nowhere" in capsys.readouterr().err
 
+    def test_one_class_is_refused(self, eye_dir, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in eye_dir.glob("class001_*.pgm"):
+            (data / f.name).write_bytes(f.read_bytes())
+        reads = []
+        monkeypatch.setattr(harness, "read_pgm_file", reads.append)
+        out = tmp_path / "m.txt"
+        error = f"error: need 2 classes with >= 3 samples in {data}, found 1\n"
+        for argv in (["train", "--out", str(out)], ["experiment", "--dims", "3"]):
+            code, stdout, err = run_main([*argv, "--data", str(data)], capsys)
+            assert (code, stdout, err, reads) == (2, "", error, [])
+        assert not out.exists() and not cli._labels_path(out).exists()
+
+    def test_report_line_parses_as_csv(self, eye_dir, tmp_path, capsys):
+        out = tmp_path / "m,1.txt"
+        argv = ["train", "--data", str(eye_dir), "--dim", "3", "--epochs", "20",
+                "--out", str(out)]
+        code, stdout, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        [row] = csv.reader(stdout.splitlines())
+        assert len(row) == 4 and row[0] == str(out)
+
     @pytest.mark.filterwarnings("default::UserWarning")
     def test_small_class_warning_is_one_line(self, eye_dir, tmp_path, capsys):
         # Shown as a run outside the tests shows it: no category, source path
@@ -348,6 +386,14 @@ class TestPathAsGiven:
         code, out, err = run_main([*command, given], capsys)
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[0] == given
+
+    def test_path_with_a_comma_parses_as_csv(self, command, eye_dir, tmp_path, capsys):
+        given = tmp_path / "x,y.pgm"
+        given.write_bytes((eye_dir / "class001_sample01.pgm").read_bytes())
+        code, out, err = run_main([*command, str(given)], capsys)
+        assert (code, err) == (0, "")
+        header, row = csv.reader(out.splitlines())
+        assert len(row) == len(header) and row[0] == str(given)
 
     def test_error_starts_with_the_argument(self, command, eye_dir, capsys):
         missing = f"./{eye_dir.name}/./missing.pgm"
@@ -414,6 +460,18 @@ class TestClassify:
         assert cli.main(["classify", "--model", str(model), img]) == 0
         assert capsys.readouterr() == plain
         assert plain.out.splitlines()[1].split(",")[1] == "class001"
+
+    def test_label_with_a_comma_parses_as_csv(self, eye_dir, model_file, tmp_path, capsys):
+        # As `train` labels a class directory named `cls,a`.
+        model = tmp_path / "model.txt"
+        model.write_bytes(model_file.read_bytes())
+        cli._labels_path(model).write_text("cls,a\nclass002\nclass003\n")
+        img = str(sorted(eye_dir.glob("class001_*.pgm"))[0])
+        code, out, err = run_main(["classify", "--model", str(model), img], capsys)
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(out.splitlines()))
+        assert [row[:2] for row in rows] == [["path", "class"], [img, "cls,a"]]
+        assert len(rows[1]) == 3
 
     def test_library_forward_matches_row(self, eye_dir, model_file, capsys):
         # forward scales its own input, so a loaded model takes raw spectra.

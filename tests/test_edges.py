@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eyes import render_eye
 from irisvd import cli, ebp, harness, image_io, synth
 
 # Bytes that PGM, model and config parsers give a meaning to, besides any byte.
@@ -54,7 +55,7 @@ def run_cli(argv) -> tuple[int, str, str]:
 
 def _eye(sample: int = 1) -> image_io.GrayImage:
     spec = synth.EyeSpec(class_seed=synth.class_seed_for(0, 1), sample_seed=sample)
-    return synth.generate_eye(spec)[0]
+    return render_eye(spec)[0]
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +219,8 @@ def test_altered_eye(work, pixels):
         left, right = int(fields[6]), int(fields[7])
         assert 0 <= x_cp < pixels.shape[1] and 0 <= y_cp < pixels.shape[0]
         assert 0 <= left < right < pixels.shape[1]
-        dark = image_io.read_pgm_file(dumps / "altered_threshold.pgm").pixels == 0
-        kept = image_io.read_pgm_file(dumps / "altered_filtered.pgm").pixels == 0
+        dark = image_io.read_pgm_file(dumps / "altered_threshold.pnm").pixels == 0
+        kept = image_io.read_pgm_file(dumps / "altered_filtered.pnm").pixels == 0
         assert np.array_equal(dark, pixels <= harness.PipelineConfig().threshold)
         assert kept.any() and not np.any(kept & ~dark)
     else:

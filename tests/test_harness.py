@@ -6,10 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
+from eyes import render_eye
 from irisvd import cli, harness, svd
 from irisvd.ebp import TrainConfig
 from irisvd.image_io import GrayImage, write_pgm_file
-from irisvd.synth import EyeSpec, class_seed_for, generate_dataset, generate_eye
+from irisvd.synth import EyeSpec, class_seed_for, generate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +54,11 @@ class TestLoadDataset:
             shutil.copy(f, root / f.name)
         for f in sorted(eye_dir.glob("class002_*.pgm"))[:2]:
             shutil.copy(f, root / f.name)
+        for f in eye_dir.glob("class003_*.pgm"):
+            shutil.copy(f, root / f.name)
         with pytest.warns(UserWarning, match="class002"):
             ds = harness.load_dataset(root)
-        assert ds.classes == ("class001",)
+        assert ds.classes == ("class001", "class003")
 
     def test_six_sample_class_accepted(self, eye_dir, tmp_path):
         root = tmp_path / "six"
@@ -80,7 +83,7 @@ class TestLoadDataset:
     def test_inconsistent_dimensions_named(self, eye_dir, tmp_path):
         root = tmp_path / "bad"
         root.mkdir()
-        for f in eye_dir.glob("class001_*.pgm"):
+        for f in eye_dir.glob("class00[12]_*.pgm"):
             shutil.copy(f, root / f.name)
         odd = GrayImage(pixels=np.full((10, 10), 128, dtype=np.uint8))
         write_pgm_file(root / "class001_sample99.pgm", odd)
@@ -90,7 +93,7 @@ class TestLoadDataset:
     def test_unreadable_file_named(self, eye_dir, tmp_path):
         root = tmp_path / "corrupt"
         root.mkdir()
-        for f in eye_dir.glob("class001_*.pgm"):
+        for f in eye_dir.glob("class00[12]_*.pgm"):
             shutil.copy(f, root / f.name)
         (root / "class001_sample98.pgm").write_bytes(b"not a pgm at all")
         with pytest.raises(harness.DatasetError, match="sample98"):
@@ -165,7 +168,7 @@ class TestPipelineFeatures:
 
         pairs = svd._round_robin_pairs
         monkeypatch.setattr(svd, "_round_robin_pairs", lambda n: Rounds(pairs(n)))
-        img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
+        img, _, _ = render_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
         path = tmp_path / "crop.pgm"
         write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
         spectrum = harness._template_spectrum(path, harness.PipelineConfig())

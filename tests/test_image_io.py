@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eyes import render_eye
 from irisvd.image_io import (
     GrayImage,
     PgmParseError,
@@ -15,7 +16,7 @@ from irisvd.image_io import (
     round_half_away,
     write_pgm,
 )
-from irisvd.synth import EyeSpec, generate_eye
+from irisvd.synth import EyeSpec
 from pgm_reference import reference_read_pgm, reference_write_pgm
 
 
@@ -187,7 +188,7 @@ class TestP2WriterAgainstReference:
         for spec in (EyeSpec(class_seed=1, sample_seed=1),
                      EyeSpec(class_seed=8, sample_seed=3, eyelash_count=12,
                              noise_amplitude=12, bright_spot=True)):
-            img = generate_eye(spec)[0]
+            img = render_eye(spec)[0]
             assert write_pgm(img, ascii=True) == reference_write_pgm(img, ascii=True)
 
     @settings(max_examples=100, derandomize=True, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eyes import render_eye
 from irisvd.image_io import GrayImage
 from irisvd.iris_boundary import (
     EdgeConfig,
@@ -17,7 +18,7 @@ from irisvd.iris_boundary import (
     scanline,
 )
 from irisvd.segmentation import PupilGeometry, pupil_geometry, threshold_dark
-from irisvd.synth import EyeSpec, class_seed_for, generate_eye
+from irisvd.synth import EyeSpec, class_seed_for
 from iris_boundary_reference import reference_detect_edge, reference_iris_bounds
 
 WIDTH = 320
@@ -244,7 +245,7 @@ class TestDetectEdgeAgainstReference:
             for s in range(1, 9):
                 spec = EyeSpec(class_seed_for(0, c), s, eyelash_count=12,
                                noise_amplitude=12, bright_spot=True)
-                img, truth, bounds = generate_eye(spec)
+                img, truth, bounds = render_eye(spec)
                 x = round(truth.x_cp)
                 depth = round((truth.r_x + (bounds.right_x - bounds.left_x) / 2) / 2)
                 for pixels in (img.pixels, img.pixels[:, x - depth:],

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eyes import render_eye
 from irisvd.harness import PipelineConfig
 from irisvd.image_io import GrayImage, round_half_away
 from irisvd.segmentation import (
@@ -22,7 +23,7 @@ from irisvd.segmentation import (
     pupil_geometry,
     threshold_dark,
 )
-from irisvd.synth import EyeSpec, class_seed_for, generate_eye
+from irisvd.synth import EyeSpec, class_seed_for
 from pupil_geometry_reference import reference_pupil_geometry
 from segmentation_reference import reference_label_components_8
 
@@ -232,7 +233,7 @@ def degraded_eye_masks() -> list[np.ndarray]:
         for s in range(1, 9):
             spec = EyeSpec(class_seed_for(0, c), s, eyelash_count=12,
                            noise_amplitude=12, bright_spot=True)
-            img, pupil, bounds = generate_eye(spec)
+            img, pupil, bounds = render_eye(spec)
             mask = threshold_dark(img)
             x = round(pupil.x_cp)
             depth = round((pupil.r_x + (bounds.right_x - bounds.left_x) / 2) / 2)

@@ -18,10 +18,11 @@ from hypothesis.extra.numpy import arrays
 
 import svd_reference
 from eig_oracle import jacobi_eigh, singular_values_via_gram
+from eyes import render_eye
 from irisvd import harness, svd
 from irisvd.image_io import GrayImage, write_pgm_file
 from irisvd.svd import Matrix, SvdFactorization, svd_factorize, svd_spectra
-from irisvd.synth import EyeSpec, class_seed_for, generate_eye
+from irisvd.synth import EyeSpec, class_seed_for
 from irisvd.template import TemplateExtractionError, extract_iris_basis
 from svd_reference import reference_factorize, stacked_factorize
 from test_cli import load_perfbench
@@ -225,7 +226,7 @@ class TestSvdFactorize:
                 assert col[np.argmax(np.abs(col))] >= 0.0
 
     def test_template_spectrum(self):
-        img, pupil, bounds = generate_eye(EyeSpec(class_seed=4, sample_seed=1))
+        img, pupil, bounds = render_eye(EyeSpec(class_seed=4, sample_seed=1))
         t = extract_iris_basis(img, pupil, bounds)
         f = svd_factorize(Matrix(t))
         assert f.n == 40
@@ -307,7 +308,7 @@ _SMALL_MATRICES = arrays(
 
 def _tight_crop_template(tmp_path) -> np.ndarray:
     """The template of an eye cropped close around its iris."""
-    img, _, _ = generate_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
+    img, _, _ = render_eye(EyeSpec(class_seed=class_seed_for(0, 1), sample_seed=2))
     path = tmp_path / "crop.pgm"
     write_pgm_file(path, GrayImage(pixels=img.pixels[91:218, 39:247]))
     img, _, pupil, bounds = harness.segment_eye(path, harness.PipelineConfig())
@@ -324,7 +325,7 @@ class TestSameBitsAsReference:
         for cls in (3, 4):
             for sample in range(1, 8):
                 spec = EyeSpec(class_seed=class_seed_for(0, cls), sample_seed=sample)
-                a = Matrix(extract_iris_basis(*generate_eye(spec)))
+                a = Matrix(extract_iris_basis(*render_eye(spec)))
                 deficient += _rank_deficient(assert_same_as_reference(a).s)
         assert deficient == 6
 
@@ -375,7 +376,7 @@ class TestSameBytesAsStackedLoop:
         for cls in (3, 4):
             for sample in range(1, 8):
                 spec = EyeSpec(class_seed=class_seed_for(0, cls), sample_seed=sample)
-                assert_same_bytes_as_stacked(Matrix(extract_iris_basis(*generate_eye(spec))))
+                assert_same_bytes_as_stacked(Matrix(extract_iris_basis(*render_eye(spec))))
                 assert new == old, (cls, sample)
         assert new[0] > 14 * 9
 
@@ -390,7 +391,7 @@ class TestSameBytesAsStackedLoop:
         for i in range(12):
             spec = EyeSpec(class_seed_for(0, 1 + i % 9), 1 + i // 9, eyelash_count=12,
                            noise_amplitude=12, bright_spot=True)
-            img, pupil, bounds = generate_eye(spec)
+            img, pupil, bounds = render_eye(spec)
             depth = (pupil.r_x + (bounds.right_x - bounds.left_x) / 2) / 2
             pixels = img.pixels
             if i % 3 == 1:
@@ -537,7 +538,7 @@ class TestSpectraStack:
     def test_synth_templates(self):
         # synth 9x12, data seed 0; its first 7 samples per class are synth 9x7.
         templates = [
-            extract_iris_basis(*generate_eye(EyeSpec(class_seed_for(0, cls), sample)))
+            extract_iris_basis(*render_eye(EyeSpec(class_seed_for(0, cls), sample)))
             for cls in range(1, 10)
             for sample in range(1, 13)
         ]
@@ -591,7 +592,7 @@ class TestSpectraStack:
 class TestFeatureVector:
     @pytest.mark.parametrize("k", [3, 10, 20, 40])
     def test_template_dimensions(self, k, tmp_path):
-        img, _, _ = generate_eye(EyeSpec(class_seed=2, sample_seed=3))
+        img, _, _ = render_eye(EyeSpec(class_seed=2, sample_seed=3))
         path = tmp_path / "eye.pgm"
         write_pgm_file(path, img)
         x = harness._template_spectrum(path, harness.PipelineConfig())[:k]

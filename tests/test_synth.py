@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import math
 import sys
 import threading
@@ -14,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synth_reference
+from eyes import render_eye
 from irisvd import synth
 from irisvd.image_io import read_pgm_file, round_half_away, write_pgm
 from irisvd.iris_boundary import iris_bounds, scanline
@@ -24,7 +25,6 @@ from irisvd.synth import (
     EyeSpec,
     class_seed_for,
     generate_dataset,
-    generate_eye,
 )
 from synth_reference import _draw_segment, reference_generate_eye
 
@@ -108,7 +108,7 @@ class TestEyeSpecValidation:
         # top borders: the jitter's extremes leave a thin band, in the canvas.
         lefts = []
         for sample in range(100):
-            _, _, bounds = generate_eye(
+            _, _, bounds = render_eye(
                 EyeSpec(class_seed=5, sample_seed=sample, width=74, height=74,
                         pupil_center=(36.02, 36.02), pupil_radius=29.0,
                         iris_radius=32.01, eyelash_count=0)
@@ -119,7 +119,7 @@ class TestEyeSpecValidation:
 
 class TestGenerateEye:
     def test_clean_render_band_contract(self):
-        img, pupil, bounds = generate_eye(clean_spec())
+        img, pupil, bounds = render_eye(clean_spec())
         ygrid, xgrid = np.mgrid[0 : img.height, 0 : img.width]
         dist = np.hypot(xgrid - pupil.x_cp, ygrid - pupil.y_cp)
         pupil_px = img.pixels[dist <= pupil.r_x]
@@ -131,8 +131,8 @@ class TestGenerateEye:
 
     def test_deterministic(self):
         spec = EyeSpec(class_seed=7, sample_seed=3)
-        a, pa, ba = generate_eye(spec)
-        b, pb, bb = generate_eye(spec)
+        a, pa, ba = render_eye(spec)
+        b, pb, bb = render_eye(spec)
         assert a == b
         assert pa == pb and ba == bb
 
@@ -144,9 +144,9 @@ class TestGenerateEye:
         )
         annulus = (dist >= spec.pupil_radius + 5) & (dist <= spec.iris_radius - 5)
         for class_a, class_b in [(1, 2), (10, 11), (500, 9999)]:
-            a1 = generate_eye(EyeSpec(class_seed=class_a, sample_seed=1))[0]
-            a2 = generate_eye(EyeSpec(class_seed=class_a, sample_seed=2))[0]
-            b1 = generate_eye(EyeSpec(class_seed=class_b, sample_seed=1))[0]
+            a1 = render_eye(EyeSpec(class_seed=class_a, sample_seed=1))[0]
+            a2 = render_eye(EyeSpec(class_seed=class_a, sample_seed=2))[0]
+            b1 = render_eye(EyeSpec(class_seed=class_b, sample_seed=1))[0]
             va1 = a1.pixels[annulus].astype(np.float64)
             va2 = a2.pixels[annulus].astype(np.float64)
             vb1 = b1.pixels[annulus].astype(np.float64)
@@ -156,7 +156,7 @@ class TestGenerateEye:
 
     def test_truth_matches_segmentation(self):
         for seed in (3, 77):
-            img, pupil, bounds = generate_eye(
+            img, pupil, bounds = render_eye(
                 EyeSpec(class_seed=seed, sample_seed=seed + 1)
             )
             measured = pupil_geometry(threshold_dark(img))
@@ -169,7 +169,7 @@ class TestGenerateEye:
             assert abs(got.right_x - bounds.right_x) <= 5
 
     def test_pupil_survives_filter_eyelashes_do_not(self):
-        img, _, _ = generate_eye(EyeSpec(class_seed=5, sample_seed=2, eyelash_count=8))
+        img, _, _ = render_eye(EyeSpec(class_seed=5, sample_seed=2, eyelash_count=8))
         regions = label_components_8(threshold_dark(img))
         big = [r for r in regions if r.area >= 2500]
         assert len(big) == 1
@@ -178,13 +178,13 @@ class TestGenerateEye:
         assert small and all(r.area < 200 for r in small)
 
     def test_scanline_minimum_inside_pupil(self):
-        img, pupil, _ = generate_eye(EyeSpec(class_seed=9, sample_seed=4))
+        img, pupil, _ = render_eye(EyeSpec(class_seed=9, sample_seed=4))
         col = int(np.argmin(scanline(img, pupil)))
         assert pupil.x_cp - pupil.r_x <= col <= pupil.x_cp + pupil.r_x
 
     def test_detected_right_edge_near_nominal_radius(self):
         for seed in (1, 2, 3, 4):
-            img, pupil, _ = generate_eye(EyeSpec(class_seed=seed, sample_seed=6))
+            img, pupil, _ = render_eye(EyeSpec(class_seed=seed, sample_seed=6))
             got = iris_bounds(img, pupil)
             assert not got.right_fallback and not got.left_fallback
             assert abs(got.right_x - (pupil.x_cp + 90)) <= 3
@@ -195,8 +195,8 @@ class TestGenerateEye:
     def test_bright_spot_does_not_move_edges(self):
         plain = EyeSpec(class_seed=21, sample_seed=2)
         spotted = EyeSpec(class_seed=21, sample_seed=2, bright_spot=True)
-        img_a, pupil, _ = generate_eye(plain)
-        img_b, _, _ = generate_eye(spotted)
+        img_a, pupil, _ = render_eye(plain)
+        img_b, _, _ = render_eye(spotted)
         assert not img_a == img_b
         assert iris_bounds(img_a, pupil) == iris_bounds(img_b, pupil)
 
@@ -215,7 +215,10 @@ def render(generate, spec):
             canvases.append(np.asarray(values).tobytes())
         return round_half_away(values)
 
-    with mock.patch.object(inspect.getmodule(generate), "round_half_away", spy):
+    with (
+        mock.patch.object(synth, "round_half_away", spy),
+        mock.patch.object(synth_reference, "round_half_away", spy),
+    ):
         try:
             img, pupil, bounds = generate(spec)
         except ValueError as exc:
@@ -271,7 +274,7 @@ class TestSameBytesAsReference:
         ids=lambda spec: f"{spec.class_seed}-{spec.sample_seed}",
     )
     def test_specs(self, spec):
-        assert render(generate_eye, spec) == render(reference_generate_eye, spec)
+        assert render(render_eye, spec) == render(reference_generate_eye, spec)
 
     def test_jittered_pupil_wider_than_iris_rejected(self):
         # Class seed 3353 drew r_p 29 and r_i 28 from these radii, an eye
@@ -284,7 +287,7 @@ class TestSameBytesAsReference:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(eye_specs())
     def test_any_valid_spec(self, spec):
-        assert render(generate_eye, spec) == render(reference_generate_eye, spec)
+        assert render(render_eye, spec) == render(reference_generate_eye, spec)
 
 
 class TestDrawSegments:
@@ -319,7 +322,7 @@ class TestDrawSegments:
 
 
 def jittered_offsets(spec):
-    """Every x and every y offset from the centre that generate_eye can
+    """Every x and every y offset from the centre that render_eye can
     measure for spec: each jittered centre over the box of the widest
     jittered iris."""
     r_i = spec.iris_radius + 2
@@ -394,7 +397,7 @@ def assert_reference_files(out, n_classes, samples_per_class, base_seed,
 
 class TestDatasetAgainstReference:
     """generate_dataset takes the angular waves of each class from one field
-    per centre fraction, which generate_eye alone never does; every file it
+    per centre fraction, which render_eye alone never does; every file it
     writes is held to the reference renderer."""
 
     @pytest.mark.parametrize(
@@ -450,7 +453,7 @@ class TestDatasetAgainstReference:
         for c in (1, 2):
             for s in range(1, 5):
                 spec = EyeSpec(class_seed=class_seed_for(6, c), sample_seed=s)
-                alone = write_pgm(generate_eye(spec)[0])
+                alone = write_pgm(render_eye(spec)[0])
                 assert (tmp_path / f"class{c:03d}_sample{s:02d}.pgm").read_bytes() == alone
 
 

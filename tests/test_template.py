@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from eyes import render_eye
 from irisvd.image_io import GrayImage
 from irisvd.iris_boundary import IrisBounds
 from irisvd.segmentation import PupilGeometry
-from irisvd.synth import EyeSpec, generate_eye
+from irisvd.synth import EyeSpec
 from irisvd.template import TemplateExtractionError, extract_iris_basis
 
 
@@ -74,13 +75,13 @@ class TestExtractIrisBasis:
 
     def test_entries_bounded_on_synthetic_eyes(self):
         for seed in (1, 5, 9):
-            img, pupil, bounds = generate_eye(EyeSpec(class_seed=seed, sample_seed=2))
+            img, pupil, bounds = render_eye(EyeSpec(class_seed=seed, sample_seed=2))
             out = extract_iris_basis(img, pupil, bounds)
             assert out.min() >= 0.0 and out.max() <= 1.0
             assert out.shape == (40, 40)
 
     def test_translation_equivariance(self):
-        img, pupil, bounds = generate_eye(EyeSpec(class_seed=13, sample_seed=3))
+        img, pupil, bounds = render_eye(EyeSpec(class_seed=13, sample_seed=3))
         dx, dy = 3, 2
         shifted = np.full(img.pixels.shape, 235.0)
         shifted[dy:, dx:] = img.pixels[:-dy, :-dx].astype(np.float64)
@@ -95,7 +96,7 @@ class TestExtractIrisBasis:
 
     def test_same_class_templates_closer_than_cross_class(self):
         def template_for(class_seed, sample_seed):
-            img, pupil, bounds = generate_eye(
+            img, pupil, bounds = render_eye(
                 EyeSpec(class_seed=class_seed, sample_seed=sample_seed)
             )
             return extract_iris_basis(img, pupil, bounds)
