@@ -296,11 +296,21 @@ def cmd_synth(args, cfg: dict) -> int:
     return 0
 
 
+def _check_dump_names(args) -> None:
+    """Refuse two different inputs whose stage dumps would overwrite each other's."""
+    first = {}
+    for name in args.images:
+        prefix = Path(args.out or Path(name).parent) / Path(name).stem
+        other = first.setdefault(prefix.resolve(), name)
+        if Path(other).resolve() != Path(name).resolve():
+            raise ConfigError(f"{other} and {name} would both dump stages as {prefix}_*.pnm")
+
+
 def _dump_stages(args, path: Path, img, mask, pupil, bounds) -> None:
     filtered = np.zeros_like(mask)
     for region in pupil.kept:
         filtered[region.ys, region.xs] = True
-    out_dir = Path(args.out) if args.out else path.parent
+    out_dir = Path(args.out or path.parent)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = (
         ("threshold", GrayImage(np.where(mask, 0, 255))),
@@ -308,13 +318,13 @@ def _dump_stages(args, path: Path, img, mask, pupil, bounds) -> None:
         ("bounds", mark_bounds(img, pupil, bounds)),
     )
     for name, stage_img in stages:
-        write_pgm_file(
-            out_dir / f"{path.stem}_{name}.pnm", stage_img, ascii=args.ascii_pgm
-        )
+        write_pgm_file(out_dir / f"{path.stem}_{name}.pnm", stage_img, ascii=args.ascii_pgm)
 
 
 def cmd_segment(args, cfg: dict) -> int:
     pcfg = _pipeline_config(args, cfg)
+    if args.dump_stages:
+        _check_dump_names(args)
 
     def row(path: str) -> tuple:
         img, mask, pupil, bounds = segment_eye(path, pcfg)

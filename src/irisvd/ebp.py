@@ -23,8 +23,8 @@ same as a step-by-step replay through backprop_gradient, bit for bit.
 An epoch allocates no array: the activations, sigmoid scratch, error and
 its square, the deltas and the step live in one workspace allocated per
 train call, and every ufunc and matrix product writes into it with out=.
-forward and backprop_gradient run the same in-place kernels on buffers of
-their own.
+backprop_gradient runs the same in-place kernels on a workspace of its own.
+forward multiplies with @ into fresh arrays and shares only _sigmoid.
 """
 
 from __future__ import annotations

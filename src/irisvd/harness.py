@@ -197,13 +197,8 @@ def split(
     A class with no leftover samples gets an empty test tuple rather than
     an error; callers decide whether that matters.
     """
-    train_set: dict[str, tuple[Path, ...]] = {}
-    test_set: dict[str, tuple[Path, ...]] = {}
-    for cls in ds.classes:
-        files = ds.samples[cls]
-        train_set[cls] = files[:n_train]
-        test_set[cls] = files[n_train:]
-    return train_set, test_set
+    train_set = {cls: ds.samples[cls][:n_train] for cls in ds.classes}
+    return train_set, {cls: ds.samples[cls][n_train:] for cls in ds.classes}
 
 
 def _stage(name: str, path, fn, *args):

@@ -23,13 +23,12 @@ squared norm is subnormal is off by 3e-8 relative at 1e-158 of the largest
 entry and by 6e-6 at 1e-160; at about 1e-162 its square underflows to 0, and
 the column is no longer rotated and has norm 0.
 
-svd_factorize runs the path on one matrix and logs each round written back;
-V is the log replayed on the identity.  V and U are built only on first
-read: the classifier reads only the leading singular values, a few tens of
-numbers that keep most of a 40x40 template's energy.  svd_spectra runs it on
-a stack in chunks and keeps no log.  Both refuse empty and non-finite input
-alike and sweep a C-ordered copy, so s depends on the matrix's values alone,
-and a row of svd_spectra is byte-identical to svd_factorize's s.
+svd_factorize runs the path on one matrix and keeps only s, which is all the
+classifier reads.  The first read of U or V sweeps the matrix again, each
+round also rotating its rows of V^T = I; the sweep is deterministic, so the
+second repeats the first bit for bit.  Both entry points refuse empty and
+non-finite input alike and sweep a C-ordered copy, so s depends on the
+values alone, and svd_spectra's rows are byte for byte svd_factorize's s.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class Matrix:
 
 class SvdFactorization:
     """Thin factorization A = u @ diag(s) @ v.T with s descending.  From
-    svd_factorize, u and v are built on first read and the log then freed."""
+    svd_factorize, u and v are built on first read, by a second sweep."""
 
     def __init__(self, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
         self.s, self._uv = s, (u, v)
@@ -144,15 +143,15 @@ def _fill_orthonormal(u: np.ndarray, col: int) -> np.ndarray:
     return best
 
 
-def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
+def _sweep(wt: np.ndarray, vt: np.ndarray | None = None) -> np.ndarray:
     """Rotate the matrices of wt until a sweep rotates no pair of any of them.
 
     wt is (n, B, m): wt[j, b] is column j of matrix b, so each Gram sum
     reduces contiguous memory, and every bit of the result depends on that
     order.  A matrix with no pair to rotate in a round, converged or not, is
     rotated by c = 1, s = 0, which changes at most the sign of a zero.
-    Returns a C-ordered copy of the swept (B, m, n) stack.  Each round
-    written back is appended to log as (pq, cs) when a list is given."""
+    Returns a C-ordered copy of the swept (B, m, n) stack.  Given vt (n, n)
+    and B = 1, each round also rotates rows pq of vt in place, as V^T."""
     n, _, m = wt.shape
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -179,8 +178,10 @@ def _sweep(wt: np.ndarray, log: list | None = None) -> np.ndarray:
             np.multiply(t, cs[0], out=cs[1])
             _rotate(x3, cs)
             wt[pq] = x
-            if log is not None:
-                log.append((pq, cs))
+            if vt is not None:
+                y = vt.take(pq, axis=0)
+                _rotate(y.reshape(2, -1, n), cs)
+                vt[pq] = y
         # W is unchanged, so every later sweep would be the same.
         if not rotated:
             break
@@ -196,27 +197,20 @@ def _rotate(x3: np.ndarray, cs: np.ndarray) -> None:
     np.add(xs[0], xc[1], out=x3[1])
 
 
-def _replay(log: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """V^T: the logged rotations applied to the rows of the identity."""
-    vt = np.eye(n)
-    for pq, cs in log:
-        y = vt.take(pq, axis=0)
-        _rotate(y.reshape(2, -1, n), cs)
-        vt[pq] = y
-    return vt
-
-
 def svd_factorize(a: Matrix) -> SvdFactorization:
-    """One-sided Jacobi SVD of the (tall-oriented) matrix; u, v on first read.
+    """One-sided Jacobi SVD of the (tall-oriented) matrix; the first read of
+    u or v sweeps the matrix a second time, with V^T beside it.
 
     Columns whose norm vanishes (rank deficiency) get orthonormal stand-in U
     columns; each V column is sign-fixed so its largest-magnitude entry is
     nonnegative, which makes the result unique for almost every input."""
-    n, log = a.n, []
-    [sigma], [order], [w] = _spectra(a.entries[None], log)
+    n = a.n
+    [sigma], _, _ = _spectra(a.entries[None])
 
     def vectors() -> tuple[np.ndarray, np.ndarray]:
-        ws, v = w[:, order], _replay(log, n).T[:, order]
+        vt = np.eye(n)
+        _, [order], [w] = _spectra(a.entries[None], vt)
+        ws, v = w[:, order], vt.T[:, order]
         # sigma descends, so the columns with a usable norm come first.
         full = int(np.count_nonzero(sigma > sigma[0] * 1e-13))
         u = np.zeros_like(ws)
@@ -245,8 +239,8 @@ def svd_spectra(stack: np.ndarray) -> np.ndarray:
     """Singular values of each tall matrix of a (B, m, n) stack, descending.
 
     Row b is byte-identical to svd_factorize(Matrix(stack[b])).s.  The
-    matrices are swept in chunks of SPECTRA_CHUNK, and no rotation log is
-    kept, so there are no singular vectors."""
+    matrices are swept in chunks of SPECTRA_CHUNK, with no V^T beside them,
+    so there are no singular vectors."""
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] < a.shape[2]:
         raise ValueError(f"expected a (B, m, n) stack with m >= n, got shape {a.shape}")
@@ -255,15 +249,15 @@ def svd_spectra(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([_spectra(a[i : i + SPECTRA_CHUNK])[0] for i in chunks])
 
 
-def _spectra(a: np.ndarray, log: list | None = None) -> tuple[np.ndarray, ...]:
+def _spectra(a: np.ndarray, vt: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The values path of both entry points, on a (B, m, n) stack at once.
 
     Each matrix is scaled by 2^-e, e the binary exponent of its largest
-    magnitude (0 for an all-zero matrix), and swept by _sweep, with log.
+    magnitude (0 for an all-zero matrix), and swept by _sweep, with vt.
     Returns s (B, n), descending, the stable order that sorts the swept
     columns, and the swept stack; s and the stack are scaled back by 2^e."""
     e = np.frexp(np.abs(a).max(axis=(1, 2)))[1][:, None]
-    w = _sweep(np.ldexp(a, -e[..., None]).transpose(2, 0, 1).copy(), log)
+    w = _sweep(np.ldexp(a, -e[..., None]).transpose(2, 0, 1).copy(), vt)
     norms = np.sqrt(np.einsum("bij,bij->bj", w, w))
     order = np.argsort(-norms, axis=1, kind="stable")
     s = np.ldexp(np.take_along_axis(norms, order, axis=1), e)

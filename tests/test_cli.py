@@ -157,6 +157,30 @@ class TestSegment:
             dumped = read_pgm_file(tmp_path / f"{img.stem}_{suffix}.pnm")
             assert np.array_equal(dumped.pixels, pixels), suffix
 
+    def test_dump_name_collision_is_refused(self, eye_dir, tmp_path, monkeypatch, capsys):
+        # Two different inputs with one stem would write the same dumps: exit
+        # 2 before any image is read.  One file given twice is no collision.
+        img = sorted(eye_dir.glob("class001_*.pgm"))[0]
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / img.name).write_bytes(img.read_bytes())
+        reads = []
+        read = harness.read_pgm_file
+        monkeypatch.setattr(harness, "read_pgm_file", lambda p: reads.append(p) or read(p))
+        monkeypatch.chdir(tmp_path)
+        a, b = f"a/{img.name}", f"b/{img.name}"
+        code, out, err = run_main(["segment", a, b, "--dump-stages", "--out", "d"], capsys)
+        assert (code, out, reads) == (2, "", [])
+        assert err == f"error: {a} and {b} would both dump stages as d/{img.stem}_*.pnm\n"
+        assert not Path("d").exists()
+        # Without --out each dump goes beside its input, so the two do not meet.
+        code, _, err = run_main(["segment", a, b, "--dump-stages"], capsys)
+        assert (code, err) == (0, "")
+        code, out, err = run_main(["segment", a, f"./a/../{a}", "--dump-stages", "--out", "d"],
+                                  capsys)
+        assert (code, err, len(out.splitlines())) == (0, "", 3)
+        assert len(list(Path("d").glob("*.pnm"))) == 3
+
     @pytest.mark.parametrize("layout", ["flat", "subdirectories"])
     def test_dumps_beside_a_dataset_are_not_samples(self, eye_dir, tmp_path, capsys, layout):
         data = tmp_path / "data"
@@ -990,14 +1014,15 @@ class TestFeaturePath:
         want = [run_main(argv, capsys) for argv in runs]
         want_model = model.read_bytes()
 
-        def replay(*args):
-            raise AssertionError("singular vectors built on the feature path")
-
-        monkeypatch.setattr(svd, "_replay", replay)
+        # A sweep given a V^T builds singular vectors; none may be given one.
+        vts = []
+        sweep = svd._sweep
+        monkeypatch.setattr(svd, "_sweep", lambda wt, vt=None: vts.append(vt) or sweep(wt, vt))
         got = [run_main(argv, capsys) for argv in runs]
         assert [code for code, _, _ in got] == [0, 0, 0]
         assert got == want
         assert model.read_bytes() == want_model
+        assert vts and all(vt is None for vt in vts)
 
 
     def test_only_train_batches_the_svd(self, eye_dir, model_file, tmp_path, monkeypatch,

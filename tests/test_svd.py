@@ -7,6 +7,8 @@ only then is it trusted to judge svd_factorize.
 from __future__ import annotations
 
 import contextlib
+import gc
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -371,14 +373,22 @@ class TestSameBytesAsStackedLoop:
     loop that gathered p and q apart, signs of zeros included."""
 
     def test_templates_and_sweeps(self, monkeypatch):
+        # The values take as many sweeps as the stacked loop, counted before
+        # u and v are read.
         new = _count_sweeps(monkeypatch, svd, "_round_robin_pairs")
         old = _count_sweeps(monkeypatch, svd_reference, "stacked_pairs")
+        swept = 0
         for cls in (3, 4):
             for sample in range(1, 8):
                 spec = EyeSpec(class_seed=class_seed_for(0, cls), sample_seed=sample)
-                assert_same_bytes_as_stacked(Matrix(extract_iris_basis(*render_eye(spec))))
-                assert new == old, (cls, sample)
-        assert new[0] > 14 * 9
+                a = Matrix(extract_iris_basis(*render_eye(spec)))
+                new[0] = old[0] = 0
+                svd_factorize(a)
+                values = new[0]
+                assert_same_bytes_as_stacked(a)
+                assert values == old[0], (cls, sample)
+                swept += values
+        assert swept > 14 * 9
 
     def test_tight_crop_template(self, tmp_path):
         a = Matrix(_tight_crop_template(tmp_path))
@@ -511,25 +521,17 @@ class TestSpectraStack:
         spectra = svd._spectra
         monkeypatch.setattr(svd, "SPECTRA_CHUNK", 2)
         monkeypatch.setattr(
-            svd, "_spectra", lambda a, log=None: sizes.append(len(a)) or spectra(a, log)
+            svd, "_spectra", lambda a, vt=None: sizes.append(len(a)) or spectra(a, vt)
         )
         assert_rows_are_factorize_spectra(_uniform(45, 5, 8, 6))
         assert sizes == [2, 2, 1] + [1] * 5
 
     def test_one_sweep_loop(self, monkeypatch):
-        # svd_factorize sweeps its matrix with a log, svd_spectra each chunk
-        # without one.
-        calls = []
-        sweep = svd._sweep
-
-        def spy(wt, log=None):
-            calls.append((wt.shape[1], log))
-            return sweep(wt, log)
-
-        monkeypatch.setattr(svd, "_sweep", spy)
-        svd_factorize(Matrix(_uniform(46, 9, 6)))
-        [(size, log)] = calls
-        assert size == 1 and isinstance(log, list) and log
+        # svd_factorize sweeps its matrix without a V^T for the values and
+        # with one for the vectors, svd_spectra each chunk without one.
+        calls = _spy_sweep(monkeypatch)
+        assert svd_factorize(Matrix(_uniform(46, 9, 6))).v.shape == (6, 6)
+        assert calls == [(1, None), (1, (6, 6))]
         calls.clear()
         monkeypatch.setattr(svd, "SPECTRA_CHUNK", 2)
         svd_spectra(_uniform(47, 5, 8, 6))
@@ -600,45 +602,64 @@ class TestFeatureVector:
         assert np.all(np.diff(x) <= 0.0) and x[-1] >= 0.0
 
 
-def _spy_replay(monkeypatch) -> list[int]:
-    """Patch svd._replay, which builds V, to count its calls."""
+def _spy_sweep(monkeypatch) -> list[tuple]:
+    """Patch svd._sweep to record each call's stack size and vt's shape (None
+    when no vt is given)."""
     calls = []
-    replay = svd._replay
+    sweep = svd._sweep
 
-    def spy(*args):
-        calls.append(1)
-        return replay(*args)
+    def spy(wt, vt=None):
+        calls.append((wt.shape[1], None if vt is None else vt.shape))
+        return sweep(wt, vt)
 
-    monkeypatch.setattr(svd, "_replay", spy)
+    monkeypatch.setattr(svd, "_sweep", spy)
     return calls
 
 
 class TestVectorsOnDemand:
     """svd_factorize computes s at once, and u and v on their first read."""
 
-    def test_values_alone_never_replay(self, monkeypatch):
-        calls = _spy_replay(monkeypatch)
+    def test_values_alone_sweep_once(self, monkeypatch):
+        calls = _spy_sweep(monkeypatch)
         f = svd_factorize(Matrix(_uniform(30, 40, 40)))
         assert f.n == 40 and np.all(np.diff(f.s) <= 0.0)
-        assert calls == []
+        assert calls == [(1, None)]
 
-    def test_vectors_replay_once(self, monkeypatch):
-        calls = _spy_replay(monkeypatch)
+    def test_vectors_sweep_once_more(self, monkeypatch):
+        calls = _spy_sweep(monkeypatch)
         a = Matrix(_uniform(31, 9, 6))
         f = svd_factorize(a)
         u = f.u
-        assert calls == [1]
+        assert calls == [(1, None), (1, (6, 6))]
         v = f.v
         check_invariants(a, f)
-        assert calls == [1]
+        assert calls == [(1, None), (1, (6, 6))]
         assert f.u is u and f.v is v
 
-    def test_vectors_iterate_no_schedule(self, monkeypatch):
+    def test_vectors_take_as_many_sweeps_as_values(self, monkeypatch):
         sweeps = _count_sweeps(monkeypatch, svd, "_round_robin_pairs")
         f = svd_factorize(Matrix(_uniform(32, 12, 8)))
         swept = sweeps[0]
         f.reconstruct()
-        assert sweeps[0] == swept > 0
+        assert sweeps[0] == 2 * swept > 0
+
+    def test_unread_vectors_keep_no_array(self):
+        # A factorization whose u and v are never read keeps less than one
+        # 40x40 float64 array beyond its s: nothing of the sweep is kept.  The
+        # inputs, which the vectors would be swept from, exist before tracing.
+        matrices = [Matrix(_uniform(33 + i, 40, 40)) for i in range(10)]
+        svd_factorize(matrices[0])  # caches the width-40 schedule
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [svd_factorize(a) for a in matrices]
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        beyond_s = grown / len(kept) - kept[0].s.nbytes
+        assert beyond_s < 40 * 40 * 8, beyond_s
 
     def test_direct_construction_returns_its_arrays(self):
         u, s, v = np.eye(3), np.array([3.0, 2.0, 1.0]), np.eye(3)[::-1]
