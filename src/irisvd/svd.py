@@ -16,6 +16,14 @@ fixed-shape step (c = 1, s = 0 for a pair that needs no rotation) and
 scatters it back once.  Every matrix runs every sweep, until a sweep rotates
 no pair of any matrix.
 
+The c and s of a round come from one of two bit-identical steps, chosen by B
+alone.  For one matrix, whose round has at most n/2 pairs, a loop in Python
+floats computes them faster than numpy calls, whose dispatch costs more than
+their arithmetic on a 40-column template's 20 pairs.  A stack keeps the
+numpy step, since the loop would visit every pair of every matrix.  Both
+take the same IEEE operations in the same order, so c and s are the same
+bytes either way.
+
 Each pair that needs a rotation gets Rutishauser's t = sign(tau) / (|tau| +
 sqrt(1 + tau^2)), the root taken of tau clamped at 2^27, past which it is
 |tau| to the bit.  Accuracy is still lost in the squares: a column whose
@@ -33,6 +41,7 @@ values alone, and svd_spectra's rows are byte for byte svd_factorize's s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -149,33 +158,22 @@ def _sweep(wt: np.ndarray, vt: np.ndarray | None = None) -> np.ndarray:
     wt is (n, B, m): wt[j, b] is column j of matrix b, so each Gram sum
     reduces contiguous memory, and every bit of the result depends on that
     order.  A matrix with no pair to rotate in a round, converged or not, is
-    rotated by c = 1, s = 0, which changes at most the sign of a zero.
+    rotated by c = 1, s = 0, which changes at most the sign of a zero.  A
+    round's c and s come from _scalar_step for one matrix (B = 1) and from
+    _vector_step for a stack; the two are bit-identical.
     Returns a C-ordered copy of the swept (B, m, n) stack.  Given vt (n, n)
     and B = 1, each round also rotates rows pq of vt in place, as V^T."""
-    n, _, m = wt.shape
+    n, b, m = wt.shape
+    step = _scalar_step if b == 1 else _vector_step
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for pq in _round_robin_pairs(n):
             x = wt.take(pq, axis=0)
             x3 = x.reshape(2, -1, m)
-            h = x3.shape[1]
-            gram = np.einsum("kji,lji->klj", x3, x3)
-            app, aqq, apq = gram[0, 0], gram[1, 1], gram[0, 1]
-            denom = np.sqrt(app * aqq)
-            off = np.divide(np.abs(apq), denom, out=np.zeros(h), where=denom > 0.0)
-            rotate = off > JACOBI_TOL
-            if not np.count_nonzero(rotate):
+            cs = step(np.einsum("kji,lji->klj", x3, x3))
+            if cs is None:
                 continue
             rotated = True
-            tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(h), where=rotate)
-            abs_tau = np.abs(tau)
-            # sqrt(1 + tau^2) is |tau| to the bit past 2^27; the clamp keeps tau^2 finite.
-            root = np.maximum(np.sqrt(1.0 + np.square(np.minimum(abs_tau, 2.0**27))), abs_tau)
-            # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
-            t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + root))
-            cs = np.empty((2, h))
-            np.divide(1.0, np.sqrt(1.0 + t * t), out=cs[0])
-            np.multiply(t, cs[0], out=cs[1])
             _rotate(x3, cs)
             wt[pq] = x
             if vt is not None:
@@ -186,6 +184,58 @@ def _sweep(wt: np.ndarray, vt: np.ndarray | None = None) -> np.ndarray:
         if not rotated:
             break
     return wt.transpose(1, 2, 0).copy()
+
+
+def _vector_step(gram: np.ndarray) -> np.ndarray | None:
+    """c and s (2, h) of a round from its Gram entries gram (2, 2, h), or
+    None when no pair needs a rotation; c = 1, s = 0 for a pair that does not."""
+    h = gram.shape[2]
+    app, aqq, apq = gram[0, 0], gram[1, 1], gram[0, 1]
+    denom = np.sqrt(app * aqq)
+    off = np.divide(np.abs(apq), denom, out=np.zeros(h), where=denom > 0.0)
+    rotate = off > JACOBI_TOL
+    if not np.count_nonzero(rotate):
+        return None
+    tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(h), where=rotate)
+    abs_tau = np.abs(tau)
+    # sqrt(1 + tau^2) is |tau| to the bit past 2^27; the clamp keeps tau^2 finite.
+    root = np.maximum(np.sqrt(1.0 + np.square(np.minimum(abs_tau, 2.0**27))), abs_tau)
+    # t = 0 for a pair that does not rotate, t = 1 for one with tau = 0.
+    t = np.where(tau == 0.0, rotate, np.sign(tau) / (abs_tau + root))
+    cs = np.empty((2, h))
+    np.divide(1.0, np.sqrt(1.0 + t * t), out=cs[0])
+    np.multiply(t, cs[0], out=cs[1])
+    return cs
+
+
+def _scalar_step(gram: np.ndarray) -> np.ndarray | None:
+    """_vector_step in Python floats: the same IEEE operations in the same
+    order, so c and s are the same bytes.  One matrix's round has at most
+    n/2 pairs, too few for numpy's per-call cost to pay; in a stack this loop
+    would visit every pair of every matrix.  Conditional expressions stand in
+    for min and max, whose calls cost more than the arithmetic."""
+    (app, apq), (_, aqq) = gram.tolist()
+    h = len(app)
+    cl, sl = [1.0] * h, [0.0] * h
+    rotated = False
+    for j in range(h):
+        a, b, c = app[j], aqq[j], apq[j]
+        denom = math.sqrt(a * b)
+        if denom > 0.0 and abs(c) / denom > JACOBI_TOL:
+            rotated = True
+            tau = (b - a) / (2.0 * c)
+            if tau == 0.0:
+                t = 1.0
+            else:
+                abs_tau = abs(tau)
+                x = abs_tau if abs_tau < 2.0**27 else 2.0**27
+                root = math.sqrt(1.0 + x * x)
+                t = 1.0 / (abs_tau + (root if root > abs_tau else abs_tau))
+                if tau < 0.0:
+                    t = -t
+            cl[j] = 1.0 / math.sqrt(1.0 + t * t)
+            sl[j] = t * cl[j]
+    return np.array((cl, sl)) if rotated else None
 
 
 def _rotate(x3: np.ndarray, cs: np.ndarray) -> None:

@@ -1,6 +1,6 @@
-"""tools/bench_record.py: its parser on a fixed run.py stdout, and the
-medians, quartiles and pair counts it writes, and the order in which it
-runs the two sides."""
+"""tools/bench_record.py: its parser on a fixed run.py stdout, the
+medians, quartiles, pair counts and verdicts it writes, and the order in
+which it runs the two sides."""
 
 from __future__ import annotations
 
@@ -104,6 +104,53 @@ def test_summarize():
     }
 
 
+END_TO_END = json.loads((PATH.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+# Median 104.5, quartiles 102.25 and 106.75: an IQR of 4.5.
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+def paired_runs(metric, changes, parents):
+    """One pair per (change, parent) value of metric; every other metric,
+    accuracy included, ties."""
+    runs = []
+    for pair, values in enumerate(zip(changes, parents)):
+        for side, value in zip(("change", "parent"), values):
+            run = fake_run(pair, side, 1.0)
+            run["metrics"]["accuracy"] = {"value": 1.0, "unit": "share"}
+            run["metrics"][metric]["value"] = value
+            runs.append(run)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "metric, changes, parents, verdict",
+    [
+        ("pass_rel", [v - 10.0 for v in PARENT[:9]] + [110.0], PARENT, "gain"),
+        ("pass_rel", [v - 10.0 for v in PARENT[:8]] + [110.0, 111.0], PARENT, "unresolved"),
+        ("pass_rel", [v - 1.0 for v in PARENT], PARENT, "unresolved"),
+        ("pass_rel", [v * 1.2 for v in PARENT], PARENT, "unresolved"),
+        ("pass_rel", [v * 1.3 for v in PARENT], PARENT, "worse"),
+        ("setup_s", [v / 100.0 + 0.3 for v in PARENT], [v / 100.0 for v in PARENT], "worse"),
+        ("accuracy", [0.95] * 10, [0.9] * 10, "gain"),
+        ("accuracy", [0.9] * 10, [0.9] * 10, "unresolved"),
+        ("accuracy", [0.6] * 10, [0.9] * 10, "worse"),
+    ],
+    ids=["gain_9_of_10", "only_8_of_10", "inside_parent_iqr", "inside_bound",
+         "past_bound", "setup_past_bound", "accuracy_higher", "accuracy_tied",
+         "accuracy_past_bound"],
+)
+def test_verdict(metric, changes, parents, verdict):
+    # A gain needs 9 of 10 pairs and a median gap wider than the parent's
+    # IQR; worse is a median past bound (0.25) times the parent's median, in
+    # the metric's better direction (higher for accuracy).
+    summary = bench_record.summarize(paired_runs(metric, changes, parents), END_TO_END)
+    assert [m["name"] for m in END_TO_END] == ["setup_s", "pass_rel", "accuracy"]
+    others = {m["name"]: "unresolved" for m in END_TO_END}
+    assert summary["verdict"] == {**others, metric: verdict}
+    if metric == "accuracy":
+        assert summary["change_won"]["accuracy"] == (10 if verdict == "gain" else 0)
+
+
 def test_main_alternates_sides(tmp_path, monkeypatch):
     parent = tmp_path / "parent"
     (parent / "perfbench").mkdir(parents=True)
@@ -132,6 +179,10 @@ def test_main_alternates_sides(tmp_path, monkeypatch):
     ]
     assert [r["pair"] for r in runs] == [pair for pair in range(10) for _ in range(2)]
     assert all(r["correct"] and r["failed"] == 0 for r in runs)
+    # Both sides read the same, so no metric is judged either way.
+    assert record["workloads"]["grid"]["verdict"] == {
+        "setup_s": "unresolved", "pass_rel": "unresolved", "accuracy": "unresolved",
+    }
     assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_0.json", "parent"]
 
 

@@ -11,6 +11,7 @@ import gc
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -589,6 +590,121 @@ class TestSpectraStack:
             with pytest.raises(ValueError) as stack_error:
                 svd_spectra(stack)
         assert str(stack_error.value) == str(matrix_error.value)
+
+
+def _first_round(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """A one-matrix sweep stack wt (n, 1, n) whose first round gathers the
+    given (p, q) pairs of 2-vectors.  Pair j fills entries 2j and 2j + 1 of
+    its two columns, so the pairs start orthogonal to one another."""
+    h = len(pairs)
+    pq = svd._round_robin_pairs(2 * h)[0]
+    wt = np.zeros((2 * h, 1, 2 * h))
+    for j, (p, q) in enumerate(pairs):
+        wt[pq[j], 0, 2 * j : 2 * j + 2] = p
+        wt[pq[h + j], 0, 2 * j : 2 * j + 2] = q
+    return wt
+
+
+def _sweep_both_steps(wt: np.ndarray) -> list[np.ndarray | None]:
+    """Sweep a one-matrix stack, checking on every round that the scalar and
+    the vector step give the same c and s bytes, or both no rotation, for the
+    Gram entries the sweep computed.  Returns each round's c and s."""
+    rounds = []
+    scalar, vector = svd._scalar_step, svd._vector_step
+
+    def both(gram):
+        got, want = scalar(gram), vector(gram)
+        assert (got is None) == (want is None), gram
+        assert got is None or got.tobytes() == want.tobytes(), gram
+        rounds.append(got)
+        return got
+
+    with mock.patch.object(svd, "_scalar_step", both):
+        svd._sweep(wt)
+    return rounds
+
+
+@st.composite
+def _column_pair(draw):
+    """Two columns of one family, in either order.  All but the tiny family
+    scale both by one power of two down to 2^-540 (about 3e-163), which keeps
+    tau = 0 and off as they are."""
+    entry = _ENTRIES.filter(bool)
+    kind = draw(st.sampled_from(
+        ["random", "duplicate", "orthogonal", "zero", "skewed", "at_tol", "tiny"]
+    ))
+    p = np.array([draw(entry), draw(entry)])
+    q = np.array([draw(_ENTRIES), draw(_ENTRIES)])
+    if kind == "duplicate":  # tau = +0 or, for q = -p, -0
+        q = draw(st.sampled_from([1.0, -1.0])) * p
+    elif kind == "orthogonal":
+        p, q = np.array([p[0], 0.0]), np.array([0.0, p[1]])
+    elif kind == "zero":
+        q = np.zeros(2)
+    elif kind == "skewed":  # |tau| >= 2^27 where the pair rotates
+        p = np.array([1.0, 0.0])
+        q = np.ldexp([draw(st.sampled_from([1.0, -1.0])), 1.0],
+                     [-draw(st.integers(28, 60)), -draw(st.integers(1, 60))])
+    elif kind == "at_tol":  # off = |apq| / sqrt(app aqq) within a few ulps of JACOBI_TOL
+        x, z = (draw(st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-3)) for _ in "xz")
+        ulps = draw(st.integers(-3, 3))
+        y = svd.JACOBI_TOL * np.sqrt((x * x) * (z * z)) / abs(x)
+        for _ in range(abs(ulps)):
+            y = np.nextafter(y, np.inf * ulps)
+        p, q = np.array([x, 0.0]), np.array([draw(st.sampled_from([1.0, -1.0])) * y, z])
+    elif kind == "tiny":  # entries down to 1e-160 beside ones near 1: aqq subnormal
+        q = np.ldexp(q, -draw(st.integers(440, 540)))
+    if draw(st.booleans()):
+        p, q = q, p
+    e = 0 if kind == "tiny" else draw(st.integers(0, 540))
+    return np.ldexp(p, -e), np.ldexp(q, -e)
+
+
+class TestRotationSteps:
+    """A one-matrix round takes c and s from svd._scalar_step, a stack's from
+    svd._vector_step, and the two give the same bytes."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(_column_pair(), min_size=1, max_size=6))
+    def test_steps_agree_on_every_round(self, pairs):
+        assert _sweep_both_steps(_first_round(pairs))
+
+    def test_edge_pairs(self):
+        # One pair per edge case, and what the first round does with it.
+        c, tol = 1.0 / 2.0**0.5, svd.JACOBI_TOL
+        cases = [
+            (np.array([3.0, 4.0]), np.array([3.0, 4.0]), (c, c)),  # tau = +0: t = 1
+            (np.array([3.0, 4.0]), np.array([-3.0, -4.0]), (c, c)),  # tau = -0: t = 1
+            (np.array([3.0, 0.0]), np.array([0.0, 4.0]), (1.0, 0.0)),  # orthogonal
+            (np.array([3.0, 4.0]), np.zeros(2), (1.0, 0.0)),  # zero column
+            (np.array([1.0, 0.0]), np.array([tol, 1.0]), (1.0, 0.0)),  # off = tol
+            (np.array([1.0, 0.0]), np.array([np.nextafter(tol, 1.0), 1.0]), None),  # an ulp more
+            (np.array([1.0, 0.0]), np.ldexp([1.0, 1.0], [-40, -20]), None),  # tau < -2^27
+            (np.array([1.0, 0.0]), np.ldexp([3.0, 4.0], -540), (1.0, 0.0)),  # aqq = 0
+            (np.array([1.0, 0.0]), np.ldexp([3.0, 4.0], -531), None),  # subnormal aqq
+        ]
+        first = _sweep_both_steps(_first_round([(p, q) for p, q, _ in cases]))[0]
+        for j, (p, q, cs) in enumerate(cases):
+            if cs is None:
+                assert first[1, j] != 0.0, j
+            else:
+                assert tuple(first[:, j]) == cs, j
+                assert np.signbit(first[1, j]) == 0, j
+        # Rutishauser's t = -1 / (|tau| + |tau|) past the clamp: s = t.
+        tau = (np.ldexp(1.0, -80) + np.ldexp(1.0, -40) - 1.0) / np.ldexp(2.0, -40)
+        assert first[1, 6] == -1.0 / (2.0 * -tau)
+
+    def test_step_chosen_by_stack_size(self, monkeypatch):
+        calls = []
+        for name in ("_scalar_step", "_vector_step"):
+            step = getattr(svd, name)
+            monkeypatch.setattr(svd, name, lambda gram, name=name, step=step:
+                                calls.append(name) or step(gram))
+        svd_factorize(Matrix(_uniform(48, 9, 6))).u
+        assert calls and set(calls) == {"_scalar_step"}
+        calls.clear()
+        svd_spectra(_uniform(49, 2, 9, 6))
+        assert calls and set(calls) == {"_vector_step"}
 
 
 class TestFeatureVector:

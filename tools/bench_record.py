@@ -16,15 +16,17 @@ both sides alike.  A run that exits non-zero, or whose output has no result
 line, stops the record.
 
 The record holds, per workload and side, the median and quartiles of
-pass_rel, setup_s, pass_s and op_ms_p50 with their units; per metric, the
-number of pairs the change won (lower is better for all four; ties count for
-neither side); and for every run its correct flag, failed and attempted
-counts and every metric it printed.  It also holds the environment line of
-the first run and, per side, its HEAD commit and the git tree ids of the
-src/ and perfbench/ it ran, uncommitted changes to tracked files included
-(null outside a git work tree); `git rev-parse <commit>:src` tells whether a
-commit holds the measured code.  Nothing but --out is written to the work
-tree.
+pass_rel, setup_s, pass_s, op_ms_p50 and each end-to-end metric that
+BENCHMARK.json lists (accuracy too), with their units; per metric, the
+number of pairs the change won (in the metric's `better` direction, lower
+for the rest; ties count for neither side); per end-to-end metric, a
+verdict of gain, worse or unresolved (see `verdict`); and for every run its
+correct flag, failed and attempted counts and every metric it printed.  It
+also holds the environment line of the first run and, per side, its HEAD
+commit and the git tree ids of the src/ and perfbench/ it ran, uncommitted
+changes to tracked files included (null outside a git work tree); `git
+rev-parse <commit>:src` tells whether a commit holds the measured code.
+Nothing but --out is written to the work tree.
 """
 
 from __future__ import annotations
@@ -80,14 +82,20 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def summarize(runs: list[dict]) -> dict:
+def summarize(runs: list[dict], end_to_end: tuple | list = ()) -> dict:
     """Per side, the median and quartiles of each metric; per metric, the
-    pairs the change won.  runs holds each pair's two runs, in any order."""
+    pairs the change won.  runs holds each pair's two runs, in any order.
+
+    end_to_end lists metrics as BENCHMARK.json does, each with its `better`
+    direction and `bound`.  Each is summarized too, its pairs are won in its
+    direction, and it gets a verdict."""
+    better = {m["name"]: m["better"] for m in end_to_end}
+    names = METRICS + tuple(name for name in better if name not in METRICS)
     out = {}
     for side in ("change", "parent"):
         mine = [r for r in runs if r["side"] == side]
         out[side] = {}
-        for name in METRICS:
+        for name in names:
             values = [r["metrics"][name]["value"] for r in mine]
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             out[side][name] = {
@@ -97,12 +105,34 @@ def summarize(runs: list[dict]) -> dict:
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
-    out["change_won"] = {
-        name: sum(p["change"][name]["value"] < p["parent"][name]["value"]
-                  for p in by_pair.values())
-        for name in METRICS
-    }
+    out["change_won"] = {}
+    for name in names:
+        sign = -1.0 if better.get(name) == "higher" else 1.0
+        out["change_won"][name] = sum(
+            sign * p["change"][name]["value"] < sign * p["parent"][name]["value"]
+            for p in by_pair.values()
+        )
+    if end_to_end:
+        out["verdict"] = {m["name"]: verdict(out, m, len(by_pair)) for m in end_to_end}
     return out
+
+
+def verdict(summary: dict, metric: dict, pairs: int) -> str:
+    """gain, worse or unresolved: how the change fares on one end-to-end metric.
+
+    gain: the change won at least nine tenths of the pairs, and its median is
+    better than the parent's by more than the parent's quartile spread.
+    worse: its median is worse than the parent's by more than the metric's
+    bound times the parent's median.  unresolved: neither."""
+    name = metric["name"]
+    change, parent = summary["change"][name], summary["parent"][name]
+    sign = -1.0 if metric["better"] == "higher" else 1.0
+    ahead = sign * (parent["median"] - change["median"])
+    if 10 * summary["change_won"][name] >= 9 * pairs and ahead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -ahead > metric["bound"] * abs(parent["median"]):
+        return "worse"
+    return "unresolved"
 
 
 def commit(checkout: Path) -> dict | None:
@@ -172,7 +202,9 @@ def main(argv=None) -> int:
                 runs.append({"pair": pair, "side": side, "first": position == 0, **result})
                 print(f"{workload} pair {pair} {side}: pass_rel "
                       f"{result['metrics']['pass_rel']['value']:.4g}", file=sys.stderr)
-        record["workloads"][workload] = {**summarize(runs), "runs": runs}
+        record["workloads"][workload] = {
+            **summarize(runs, benchmark["end_to_end"]), "runs": runs,
+        }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
